@@ -22,6 +22,16 @@ WORD_BYTES = 8
 WORD_MASK = (1 << 64) - 1
 
 
+def ramp(start: int, step: int, nbytes: int) -> bytes:
+    """The test pattern ``bytes((start + step*i) % 256 for i in range(nbytes))``.
+
+    The sequence repeats every 256 bytes, so only one period is built
+    byte by byte; the rest is repetition and slicing done in C.
+    """
+    period = bytes([(start + step * i) % 256 for i in range(256)])
+    return (period * (nbytes // 256 + 1))[:nbytes]
+
+
 class PhysicalMemory:
     """Flat RAM at physical [0, size).
 
@@ -212,6 +222,12 @@ class FrameAllocator:
     def frames_in_use(self) -> int:
         """Frames currently allocated."""
         return self._outstanding
+
+    @property
+    def contiguous_frames_left(self) -> int:
+        """Frames :meth:`alloc_contiguous` can still hand out (the
+        never-allocated tail)."""
+        return (self.limit - self._next) // PAGE_SIZE
 
     def alloc_frame(self) -> int:
         """Allocate one frame; returns its physical base address.

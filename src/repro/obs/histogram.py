@@ -23,8 +23,8 @@ percentile is the linear interpolation between the samples at ranks
 ``floor(r)`` and ``ceil(r)`` where ``r = (n - 1) * q / 100`` — each
 sample approximated by a bucket-uniform position estimate.
 :meth:`percentile_error_bound` returns the worst-case absolute error
-of that approximation, which is what the cross-check in
-``FleetTelemetry.close_window`` asserts against.
+of that approximation, which is what the telemetry-window property
+tests hold every window's percentiles to.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class LatencyHistogram:
         Both use the identical interpolation convention, so any
         disagreement beyond the histogram's per-quantile error bound
         (plus the stat's 1 ps rounding) means the two aggregation paths
-        diverged — the assertion ``FleetTelemetry.close_window`` runs
+        diverged — the property the telemetry-window tests assert for
         every window.  Returns problem strings (empty = consistent).
         """
         problems: List[str] = []

@@ -29,6 +29,7 @@ from ..faults.injector import Injector
 from ..faults.plan import DROP, FaultPlan, FaultRule
 from ..faults.retry import RetryPolicy
 from ..hw.isa import Halt, Load, Store, assemble
+from ..hw.memory import ramp
 from ..os.process import Process, shadow_vaddr
 from ..units import Time, us
 from .spans import Span
@@ -98,8 +99,7 @@ def traced_adversary_run(n_dmas: int = 6, method: str = "repeated5",
     ws.kernel.enable_user_dma(victim)
     src = ws.kernel.alloc_buffer(victim, (n_dmas + 2) * chunk)
     dst = ws.kernel.alloc_buffer(victim, (n_dmas + 2) * chunk)
-    ws.ram.write(src.paddr, bytes((i * 31) % 256
-                                  for i in range((n_dmas + 2) * chunk)))
+    ws.ram.write(src.paddr, ramp(0, 31, (n_dmas + 2) * chunk))
     chan = DmaChannel(ws, victim)
 
     adversaries: List[Process] = []

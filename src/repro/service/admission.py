@@ -29,6 +29,9 @@ from ..errors import ConfigError
 REASON_THROTTLED = "throttled"
 REASON_BACKPRESSURE = "backpressure"
 REASON_SHUTDOWN = "shutdown"
+#: Refused by the shard after admission: a new tenant whose buffers its
+#: RAM cannot hold.
+REASON_SHARD_FULL = "shard-full"
 
 
 @dataclass

@@ -187,15 +187,8 @@ class DmaService:
             try:
                 if job.queued is not None:
                     self.spans.end(job.queued)
-                completion = shard.execute(job.request)
-                completion = Completion(
-                    request=job.request, ok=completion.ok,
-                    outcome=completion.outcome,
-                    latency_us=completion.latency_us,
-                    attempts=completion.attempts,
-                    fell_back=completion.fell_back, shard=index,
-                    bytes_moved=completion.bytes_moved,
-                    finished_tick=self.tick)
+                completion = replace(shard.execute(job.request),
+                                     finished_tick=self.tick)
                 self._complete(job, completion)
             except Exception as exc:  # pragma: no cover - defensive
                 if not job.future.done():

@@ -4,11 +4,12 @@ A :class:`ServiceShard` owns a single simulated machine seeded
 deterministically from ``(service seed, shard index)``, registers tenant
 processes lazily (process + pinned buffers + the best available DMA
 channel — §3.2's "the rest will have to go through the kernel" applies
-when register contexts run out), and executes requests **serially in
-simulated time**: each request runs to completion (including bounded
-retry, backoff, and kernel fallback) before the next starts, so shard
-state between requests is always quiescent and content checks are
-exact.
+when register contexts run out; a new tenant its RAM cannot hold is
+refused with ``shard-full`` before anything is allocated), and
+executes requests **serially in simulated time**: each request runs to
+completion (including bounded retry, backoff, and kernel fallback)
+before the next starts, so shard state between requests is always
+quiescent and content checks are exact.
 
 Every DMA's landed bytes are verified against the source pattern, every
 destination is re-armed with a tenant-specific canary afterwards, and
@@ -28,9 +29,12 @@ from ..errors import KernelError
 from ..faults.injector import Injector
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..hw.memory import ramp
+from ..hw.pagetable import PAGE_SIZE
 from ..obs.flightrec import REASON_WRONG_DATA, FlightRecorder
 from ..os.process import Process
 from ..units import Time, to_us, us
+from .admission import REASON_SHARD_FULL
 from .requests import (
     KIND_ATOMIC,
     KIND_DMA,
@@ -38,14 +42,22 @@ from .requests import (
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
     OUTCOME_FELL_BACK,
+    OUTCOME_REJECTED,
     OUTCOME_RETRIED,
     OUTCOME_WRONG_DATA,
     Completion,
     Request,
 )
 
-#: Per-tenant buffer geometry: two pages each for source/destination.
+#: Per-tenant buffer geometry: one 8 KiB page each for source and
+#: destination.
 TENANT_BUFFER_BYTES = 8192
+#: Frames one tenant registration allocates (source + destination).
+TENANT_FRAMES = 2 * TENANT_BUFFER_BYTES // PAGE_SIZE
+#: Frames one message channel allocates: the receiver's ring (header +
+#: slots) and credit page, the sender's staging slot + tail page and
+#: credit mirror.
+MESSAGE_CHANNEL_FRAMES = 6
 #: Largest single transfer (one page — the page-bounded engine's limit).
 MAX_TRANSFER_BYTES = 4096
 #: Hot-receiver buffer: slots of one page each.
@@ -170,10 +182,17 @@ class ServiceShard:
     # tenant registration
     # ------------------------------------------------------------------
 
-    def tenant(self, name: str) -> _Tenant:
-        """The tenant's shard-local state, registering on first sight."""
+    def tenant(self, name: str) -> Optional[_Tenant]:
+        """The tenant's shard-local state, registering on first sight.
+
+        None when *name* is new and the shard's RAM cannot hold its
+        buffers: the check runs before anything is spawned or
+        allocated, so a refused tenant leaves the shard untouched.
+        """
         state = self._tenants.get(name)
         if state is None:
+            if self.ws.allocator.contiguous_frames_left < TENANT_FRAMES:
+                return None
             state = self._register(name)
             self._tenants[name] = state
         return state
@@ -190,8 +209,7 @@ class ServiceShard:
                 atomic_via_kernel = True
         src = self.ws.kernel.alloc_buffer(proc, TENANT_BUFFER_BYTES)
         dst = self.ws.kernel.alloc_buffer(proc, TENANT_BUFFER_BYTES)
-        pattern = bytes((index * 31 + i) % 256
-                        for i in range(TENANT_BUFFER_BYTES))
+        pattern = ramp(index * 31, 1, TENANT_BUFFER_BYTES)
         canary = self._make_canary(index * 17 + 0x5A)
         self.ws.ram.write(src.paddr, pattern)
         self.ws.ram.write(dst.paddr, canary)
@@ -202,8 +220,7 @@ class ServiceShard:
                        atomic_via_kernel=atomic_via_kernel)
 
     def _make_canary(self, salt: int) -> bytes:
-        return bytes((salt + i * 13) % 256
-                     for i in range(TENANT_BUFFER_BYTES))
+        return ramp(salt, 13, TENANT_BUFFER_BYTES)
 
     @property
     def n_tenants(self) -> int:
@@ -246,8 +263,15 @@ class ServiceShard:
         fallback, fault injections — carries the request's trace id and
         hangs off one ``shard.execute`` root with a cross-process link
         back to the front end.
+
+        A new tenant the shard has no room for is refused: the request
+        completes ``rejected`` with reason ``shard-full`` and nothing
+        runs.
         """
         tenant = self.tenant(request.tenant)
+        if tenant is None:
+            return Completion(request, ok=False, outcome=OUTCOME_REJECTED,
+                              shard=self.index, reason=REASON_SHARD_FULL)
         start = self.ws.sim.now
         spans = self.ws.spans
         with spans.activate(request.trace, process=self.process):
@@ -386,10 +410,16 @@ class ServiceShard:
                           attempts=1, bytes_moved=payload_len)
 
     def _message_channel(self, tenant: _Tenant):
-        """The tenant's ring channel to the shard receiver (lazy, capped)."""
+        """The tenant's ring channel to the shard receiver (lazy, capped).
+
+        None past ``max_message_channels`` or once RAM cannot hold
+        another ring; the message is then served as a plain DMA.
+        """
         if tenant.message_channel is not None:
             return tenant.message_channel
-        if self._message_channels >= self.config.max_message_channels:
+        if (self._message_channels >= self.config.max_message_channels
+                or self.ws.allocator.contiguous_frames_left
+                < MESSAGE_CHANNEL_FRAMES):
             return None
         from ..msg.channel import MessageChannel
 

@@ -22,6 +22,7 @@ from ..core.api import DmaChannel
 from ..core.machine import MachineConfig, Workstation
 from ..hw.dma.status import is_rejection
 from ..hw.isa import Addr, Halt, Instruction, Store, assemble
+from ..hw.memory import ramp
 from ..os.scheduler import RandomPreemptionPolicy
 from ..sim.rng import make_rng
 
@@ -99,8 +100,7 @@ def run_stress(method: str, n_processes: int = 3, dmas_each: int = 12,
         dst = ws.kernel.alloc_buffer(proc, dmas_each * chunk)
         res = ws.kernel.alloc_buffer(proc, max(dmas_each * 8, 8),
                                      shadow=False)
-        pattern = bytes((index * 37 + i) % 256
-                        for i in range(dmas_each * chunk))
+        pattern = ramp(index * 37, 1, dmas_each * chunk)
         ws.ram.write(src.paddr, pattern)
         chan = DmaChannel(ws, proc)
         instructions: List[Instruction] = []

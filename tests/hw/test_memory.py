@@ -7,6 +7,7 @@ from repro.hw.memory import (
     FrameAllocator,
     PhysicalMemory,
     make_ram_and_allocator,
+    ramp,
 )
 from repro.hw.pagetable import PAGE_SIZE
 from repro.units import kib
@@ -158,6 +159,17 @@ class TestFrameAllocator:
         alloc.alloc_contiguous(2)
         assert alloc.frames_in_use == 3
 
+    def test_contiguous_frames_left_counts_the_tail(self):
+        alloc = FrameAllocator(0, 4 * PAGE_SIZE)
+        assert alloc.contiguous_frames_left == 4
+        frame = alloc.alloc_frame()
+        alloc.alloc_contiguous(2)
+        assert alloc.contiguous_frames_left == 1
+        # Freed frames go to the free list, which contiguous
+        # allocation ignores.
+        alloc.free_frame(frame)
+        assert alloc.contiguous_frames_left == 1
+
     def test_reserved_base(self):
         alloc = FrameAllocator(2 * PAGE_SIZE, 2 * PAGE_SIZE)
         assert alloc.alloc_frame() == 2 * PAGE_SIZE
@@ -172,3 +184,16 @@ def test_make_ram_and_allocator_reserves():
                                         reserved=PAGE_SIZE)
     assert ram.size == 4 * PAGE_SIZE
     assert alloc.alloc_frame() == PAGE_SIZE
+
+
+def _reference_ramp(start, step, nbytes):
+    """The per-byte generator every test-pattern site used to run."""
+    return bytes((start + step * i) % 256 for i in range(nbytes))
+
+
+@pytest.mark.parametrize("step", (0, 1, 13, 31, 37, 128, 255))
+def test_ramp_equals_the_reference_generator(step):
+    for start in range(256):
+        for nbytes in (0, 1, 255, 256, 257, 8192, 8193):
+            assert ramp(start, step, nbytes) == _reference_ramp(
+                start, step, nbytes), (start, step, nbytes)

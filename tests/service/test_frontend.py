@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.service.admission import (
     REASON_BACKPRESSURE,
+    REASON_SHARD_FULL,
     REASON_SHUTDOWN,
 )
 from repro.service.frontend import (
@@ -210,6 +211,64 @@ def test_tcp_roundtrip_and_stats():
     assert stats["telemetry"]["completed"] == 1
     assert "error" in bad_json
     assert "bogus_field" in bad_field["error"]
+
+
+def test_full_shard_rejects_with_a_reason_and_keeps_serving():
+    """1,100 distinct tenants aimed at one shard: all complete, the
+    77 past its capacity as typed rejections that reach telemetry."""
+    async def scenario():
+        service = DmaService(small_config())
+        await service.start()
+        completions = []
+        for i in range(1100):
+            future = await service.submit(Request(
+                tenant=f"t{i:04d}", size=512, shard=0,
+                req_id=service.next_req_id()))
+            completions.append(await future)
+        again = await (await service.submit(Request(
+            tenant="t0000", size=512, shard=0,
+            req_id=service.next_req_id())))
+        problems = await service.shutdown(drain=True)
+        return service, completions, again, problems
+
+    service, completions, again, problems = run(scenario())
+    assert all(c.ok for c in completions[:1023])
+    assert all(c.outcome == OUTCOME_REJECTED and c.reason == REASON_SHARD_FULL
+               and c.shard == 0 for c in completions[1023:])
+    assert again.ok
+    assert len(service.completions) == 1101
+    assert service.telemetry.rejected == 77
+    assert service.shards[0].n_tenants == 1023
+    assert problems == []
+
+
+def test_tcp_client_keeps_its_connection_past_a_full_shard():
+    async def scenario():
+        ready = asyncio.Event()
+        server = asyncio.get_running_loop().create_task(serve_forever(
+            small_config(shards=1), ready=ready, max_connections=1))
+        await ready.wait()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", ready.port)
+        lines = [{"tenant": f"t{i:04d}", "size": 512} for i in range(1100)]
+        lines += [{"tenant": "t0000", "size": 512}, {"op": "stats"}]
+        responses = []
+        for line in lines:
+            writer.write(json.dumps(line).encode() + b"\n")
+            await writer.drain()
+            responses.append(json.loads(await reader.readline()))
+        writer.close()
+        await server
+        return responses
+
+    responses = run(scenario())
+    replies, again, stats = responses[:1100], responses[1100], responses[-1]
+    assert all(r["ok"] for r in replies[:1023])
+    assert all(r["outcome"] == OUTCOME_REJECTED
+               and r["reason"] == REASON_SHARD_FULL for r in replies[1023:])
+    assert again["ok"] is True
+    assert stats["telemetry"]["rejected"] == 77
+    assert stats["shards"][0]["tenants"] == 1023
 
 
 def test_service_config_validation():

@@ -4,13 +4,17 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, FaultRule, bernoulli_plan
+from repro.service.admission import REASON_SHARD_FULL
 from repro.service.requests import (
     OUTCOME_COMPLETED,
+    OUTCOME_REJECTED,
     OUTCOME_WRONG_DATA,
     Completion,
     Request,
 )
 from repro.service.shard import (
+    HOT_SLOT_BYTES,
+    MESSAGE_CHANNEL_FRAMES,
     TENANT_BUFFER_BYTES,
     ServiceShard,
     ShardConfig,
@@ -198,3 +202,53 @@ def test_pattern_and_canary_are_tenant_specific():
     assert a.pattern != b.pattern
     assert a.canary != b.canary
     assert len(a.pattern) == TENANT_BUFFER_BYTES
+
+
+def test_pattern_and_canary_match_the_per_byte_expressions():
+    shard = ServiceShard(0, ShardConfig(seed=1))
+    for index, name in enumerate(("a", "b", "c")):
+        shard.execute(Request(tenant=name))
+        tenant = shard.tenant(name)
+        assert tenant.pattern == bytes((index * 31 + i) % 256
+                                       for i in range(TENANT_BUFFER_BYTES))
+        salt = index * 17 + 0x5A
+        assert tenant.canary == bytes((salt + i * 13) % 256
+                                      for i in range(TENANT_BUFFER_BYTES))
+    hot = shard.ws.ram.read(shard._hot_buffer.paddr, HOT_SLOT_BYTES)
+    assert hot == bytes((0xC3 + i * 13) % 256 for i in range(HOT_SLOT_BYTES))
+
+
+def test_full_shard_refuses_new_tenants_and_keeps_serving():
+    """16 MiB of RAM holds 1,023 tenants (two 8 KiB frames each, after
+    the hot buffer's two); later newcomers are refused, not crashed on."""
+    shard = ServiceShard(0, ShardConfig(seed=1))
+    completions = [shard.execute(Request(tenant=f"t{i:04d}", size=512))
+                   for i in range(1100)]
+    assert len(completions) == 1100
+    assert all(c.ok for c in completions[:1023])
+    refused = completions[1023:]
+    assert all(c.outcome == OUTCOME_REJECTED and not c.ok
+               and c.reason == REASON_SHARD_FULL and c.shard == 0
+               and c.bytes_moved == 0 for c in refused)
+    assert shard.n_tenants == 1023
+    assert shard.requests_executed == 1023
+    # Refusals spawn nothing: tenants plus the hot receiver.
+    assert len(shard.ws.kernel.processes) == 1024
+    assert shard.ws.allocator.contiguous_frames_left == 0
+    # Earlier tenants are still served; a message request that finds no
+    # room for a ring is served as a plain DMA.
+    assert shard.execute(Request(tenant="t0000", size=256)).ok
+    message = shard.execute(Request(tenant="t0001", kind="message",
+                                    size=256))
+    assert message.ok and shard._message_channels == 0
+    assert shard.wrong_page_sweep() == []
+
+
+def test_message_channel_frame_count_matches_allocation():
+    shard = ServiceShard(0, ShardConfig(seed=1))
+    shard.execute(Request(tenant="a", size=256))
+    before = shard.ws.allocator.contiguous_frames_left
+    assert shard.execute(Request(tenant="a", kind="message", size=256)).ok
+    assert shard._message_channels == 1
+    assert (before - shard.ws.allocator.contiguous_frames_left
+            == MESSAGE_CHANNEL_FRAMES)

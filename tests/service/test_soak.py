@@ -1,6 +1,7 @@
 """The soak driver: schedules, determinism, fault verdicts, reports."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +14,10 @@ from repro.service.soak import (
     strip_runtime,
     tenant_weights,
 )
+
+
+BASELINE = (pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks/results/BENCH_service.json")
 
 
 def small(**overrides):
@@ -134,3 +139,12 @@ def test_config_validation():
         SoakConfig(skew="bogus")
     with pytest.raises(ConfigError):
         SoakConfig(rate=0.0)
+
+
+def test_committed_baseline_reproduces_exactly():
+    """Rerunning the committed baseline's config reproduces every
+    field of BENCH_service.json except the wall clock."""
+    committed = json.loads(BASELINE.read_text())
+    committed.pop("wall")
+    report = run_soak(SoakConfig(**committed["config"]))
+    assert json.loads(json.dumps(deterministic_view(report))) == committed
