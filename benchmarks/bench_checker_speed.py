@@ -3,9 +3,7 @@
 The incremental checker must (a) return bit-identical
 :class:`~repro.verify.model_check.CheckResult` objects and (b) beat the
 naive oracle by at least 3x on the Fig. 8 worst case (two 3-access
-adversaries against the 5-instruction victim: 9240 interleavings).  The
-parallel fan-out must match the serial results exactly while splitting
-the large scenarios across workers.
+adversaries against the 5-instruction victim: 9240 interleavings).
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from repro.analysis.report import Table
 from repro.verify.adversary import builtin_scenarios, fig8_scenario
 from repro.verify.incremental import CheckStats, check_scenario_incremental
 from repro.verify.model_check import check_scenario
-from repro.verify.parallel import ParallelChecker
 
 
 def test_incremental_speedup_worst_case(record, benchmark):
@@ -68,30 +65,3 @@ def test_incremental_differential_all_builtins(record, benchmark):
                       "yes" if naive == inc else "NO")
     record("checker_differential", table.render())
     assert all(naive == inc for naive, inc in pairs)
-
-
-def test_parallel_fanout_matches_serial(record, benchmark):
-    """The multiprocessing fan-out returns exactly the serial results."""
-    scenarios = builtin_scenarios()
-    serial = ParallelChecker(n_workers=1).check_many(scenarios)
-
-    # Force >= 2 workers: even on a single-CPU box this exercises the
-    # real pool and the branch-splitting path; only *correctness* is
-    # asserted here (wall-clock scaling needs real cores).
-    parallel = ParallelChecker(n_workers=max(2, ParallelChecker().n_workers),
-                               split_threshold=2000)
-    report = benchmark.pedantic(lambda: parallel.check_many(scenarios),
-                                rounds=1, iterations=1)
-
-    table = Table("Parallel fan-out (deterministic merge)",
-                  ["metric", "value"])
-    table.add_row("workers", report.n_workers)
-    table.add_row("tasks", report.n_tasks)
-    table.add_row("branch-split scenarios",
-                  ", ".join(report.split_scenarios) or "none")
-    table.add_row("identical to serial",
-                  "yes" if report.results == serial.results else "NO")
-    record("checker_parallel", table.render())
-
-    assert report.results == serial.results
-    assert report.n_tasks >= len(scenarios)

@@ -1,8 +1,8 @@
-"""Machine-readable checker benchmark: naive vs incremental vs parallel.
+"""Machine-readable checker benchmark: naive vs incremental.
 
 Times the naive replay oracle against the prefix-sharing incremental
 checker on the built-in scenarios, asserts their results are identical,
-measures the parallel fan-out, and writes everything as one JSON file
+and writes everything as one JSON file
 (``benchmarks/results/BENCH_checker.json`` by default) so CI can track
 orders-per-second without parsing tables.
 
@@ -39,7 +39,6 @@ from repro.obs.profile import PhaseProfiler
 from repro.verify.adversary import builtin_scenarios, fig8_scenario
 from repro.verify.incremental import CheckStats, check_scenario_incremental
 from repro.verify.model_check import CheckResult, Scenario, check_scenario
-from repro.verify.parallel import ParallelChecker
 
 DEFAULT_OUTPUT = (pathlib.Path(__file__).resolve().parent
                   / "results" / "BENCH_checker.json")
@@ -114,36 +113,7 @@ def bench_scenario(scenario: Scenario, repeats: int,
     return entry
 
 
-def bench_parallel(scenarios: List[Scenario], workers: int,
-                   repeats: int, incremental: bool) -> dict:
-    """Time the fan-out over *scenarios* against the serial equivalent."""
-    serial = ParallelChecker(n_workers=1, incremental=incremental)
-    parallel = ParallelChecker(n_workers=workers, incremental=incremental)
-    serial_s, _ = _time(
-        lambda: serial.check_many(scenarios).results[0], repeats)
-    report = None
-
-    def run() -> CheckResult:
-        nonlocal report
-        report = parallel.check_many(scenarios)
-        return report.results[0]
-
-    parallel_s, _ = _time(run, repeats)
-    serial_results = serial.check_many(scenarios).results
-    assert report is not None
-    return {
-        "workers": report.n_workers,
-        "n_tasks": report.n_tasks,
-        "split_scenarios": report.split_scenarios,
-        "serial_wall_s": round(serial_s, 6),
-        "parallel_wall_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "identical": report.results == serial_results,
-    }
-
-
-def build_report(quick: bool = False, workers: Optional[int] = None,
-                 incremental: bool = True,
+def build_report(quick: bool = False, incremental: bool = True,
                  repeats: Optional[int] = None,
                  profile: bool = False) -> dict:
     """Run the full benchmark and return the JSON-ready report dict."""
@@ -179,11 +149,6 @@ def build_report(quick: bool = False, workers: Optional[int] = None,
                 "meets_target": (worst["speedup"] or 0) >= 3.0,
             }
         report["all_identical"] = all(e["identical"] for e in entries)
-    fanout = [s for s in scenarios
-              if s.name.startswith(("fig8", "pair-race"))] or scenarios
-    report["parallel"] = bench_parallel(
-        fanout, workers or ParallelChecker().n_workers,
-        repeats, incremental)
     return report
 
 
@@ -195,8 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", type=pathlib.Path,
                         default=DEFAULT_OUTPUT,
                         help=f"output path (default {DEFAULT_OUTPUT})")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel fan-out pool size (default: auto)")
     parser.add_argument("--no-incremental", action="store_true",
                         help="time only the naive oracle")
     parser.add_argument("--repeat", "--repeats", dest="repeat",
@@ -207,12 +170,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="add per-phase wall-time breakdowns "
                              "(snapshot/restore/deliver/leaf) to the JSON")
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.repeat is not None and args.repeat < 1:
         parser.error(f"--repeat must be >= 1, got {args.repeat}")
 
-    report = build_report(quick=args.quick, workers=args.workers,
+    report = build_report(quick=args.quick,
                           incremental=not args.no_incremental,
                           repeats=args.repeat, profile=args.profile)
     args.output.parent.mkdir(parents=True, exist_ok=True)
@@ -231,10 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{name} {info['seconds']:.3f}s/{info['count']}"
                 for name, info in entry["profile"].items())
             print(f"{'':34s} profile: {detail}")
-    par = report["parallel"]
-    print(f"parallel fan-out: {par['workers']} workers, {par['n_tasks']} "
-          f"tasks (split: {', '.join(par['split_scenarios']) or 'none'}), "
-          f"{par['speedup']}x vs serial, identical={par['identical']}")
     if "worst_case" in report:
         wc = report["worst_case"]
         print(f"worst case {wc['name']}: {wc['speedup']}x "
@@ -242,7 +199,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{'MET' if wc['meets_target'] else 'MISSED'})")
     print(f"wrote {args.output}")
 
-    ok = report.get("all_identical", True) and report["parallel"]["identical"]
+    ok = report.get("all_identical", True)
     if "worst_case" in report:
         ok = ok and report["worst_case"]["meets_target"]
     return 0 if ok else 1

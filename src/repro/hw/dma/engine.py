@@ -154,7 +154,7 @@ class DmaEngine(MmioDevice):
         protocol.attach(self)
 
     # ------------------------------------------------------------------
-    # Undo journal (the checker's O(changes) snapshot/restore substrate)
+    # Undo journal (the checker's O(changes) backtracking substrate)
     # ------------------------------------------------------------------
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
@@ -164,9 +164,9 @@ class DmaEngine(MmioDevice):
         the engine's hot mutable state (protocol FSM blob, scalar
         registers, all register contexts) as journal entries, and the
         rare mutations (table writes, initiation-record appends) record
-        individually — so ``journal.mark()``/``undo_to`` replace
-        :meth:`snapshot`/:meth:`restore` at cost proportional to what
-        actually changed.  Cascades to the transfer engine.
+        individually — so ``journal.undo_to(mark)`` restores the engine
+        at cost proportional to what actually changed.  Cascades to the
+        transfer engine.
         """
         self._undo = journal
         self._j_epoch = 0
@@ -566,54 +566,6 @@ class DmaEngine(MmioDevice):
         if base is None:
             return None
         return base + page_offset(psrc)
-
-    # ------------------------------------------------------------------
-    # Snapshot/restore (the incremental checker's backtracking substrate)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Capture all engine-owned mutable state.
-
-        Covers the register contexts, privileged tables, control page,
-        initiation records (append-only — captured as a length), the
-        protocol FSM, the transfer engine, and the trace log.  The
-        simulator and RAM are externally owned and snapshot separately
-        (see :meth:`repro.verify.interleave.ProtocolHarness.snapshot`).
-        """
-        return {
-            "contexts": [c.snapshot() for c in self.contexts],
-            "key_table": dict(self.key_table),
-            "mapout_table": dict(self.mapout_table),
-            "current_pid": self.current_pid,
-            "n_initiations": len(self.initiations),
-            "protocol_violations": self.protocol_violations,
-            "oversize_rejections": self.oversize_rejections,
-            "control": (self._control_src, self._control_dst,
-                        self._control_status, self._control_transfer,
-                        self._mapout_src_latch),
-            "protocol": self.protocol.snapshot_state(),
-            "transfer_engine": self.transfer_engine.snapshot(),
-            "trace": self.trace.snapshot(),
-            "spans": self.spans.snapshot(),
-        }
-
-    def restore(self, token: dict) -> None:
-        """Return to a state captured by :meth:`snapshot`."""
-        for context, state in zip(self.contexts, token["contexts"]):
-            context.restore(state)
-        self.key_table = dict(token["key_table"])
-        self.mapout_table = dict(token["mapout_table"])
-        self._tables_fp = None
-        self.current_pid = token["current_pid"]
-        del self.initiations[token["n_initiations"]:]
-        self.protocol_violations = token["protocol_violations"]
-        self.oversize_rejections = token["oversize_rejections"]
-        (self._control_src, self._control_dst, self._control_status,
-         self._control_transfer, self._mapout_src_latch) = token["control"]
-        self.protocol.restore_state(token["protocol"])
-        self.transfer_engine.restore(token["transfer_engine"])
-        self.trace.restore(token["trace"])
-        self.spans.restore(token["spans"])
 
     def fingerprint(self) -> tuple:
         """Hashable capture of all behaviour-determining engine state.

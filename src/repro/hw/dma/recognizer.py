@@ -23,13 +23,11 @@ is exactly the kernel modification it requires.)
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from ...errors import ConfigError
-from ...sim.snapshot import freeze
 from ...units import Time
 from .status import STATUS_FAILURE
 
@@ -177,28 +175,24 @@ class InitiationProtocol(ABC):
 
     # -- snapshot/restore ---------------------------------------------------------------
 
+    @abstractmethod
     def snapshot_state(self) -> Any:
         """Capture the FSM's mutable state for later :meth:`restore_state`.
 
-        The base implementation deep-copies every attribute except the
-        engine back-reference, which is correct for any FSM whose state
-        is scalars/dicts/lists/dataclasses; concrete protocols override
-        it with cheap hand-rolled tuples on the checking hot path.
+        The engine records it into the undo journal once per epoch, so
+        it must be cheap: a small hand-rolled tuple, not a deep copy.
         """
-        state = dict(self.__dict__)
-        state.pop("_engine", None)
-        return copy.deepcopy(state)
 
+    @abstractmethod
     def restore_state(self, state: Any) -> None:
         """Return to a state captured by :meth:`snapshot_state`."""
-        self.__dict__.update(copy.deepcopy(state))
 
+    @abstractmethod
     def state_fingerprint(self) -> Any:
         """Hashable capture of the state that determines future behaviour.
 
         Used by the transposition table to merge converged states: two
         prefixes whose fingerprints (and other component fingerprints)
         match have identical subtrees.  Pure statistics counters that no
-        decision or property ever reads may be excluded by overrides.
+        decision or property ever reads may be left out.
         """
-        return freeze(self.snapshot_state())

@@ -109,7 +109,7 @@ class DmaTransferEngine:
         #: Optional fault-injection hook (see repro.faults.injector);
         #: consulted once per started transfer.  Timed-simulation only —
         #: the checker harness injects faults at stream level instead,
-        #: so snapshot/restore never needs to undo a hook decision.
+        #: so the undo journal never needs to undo a hook decision.
         self.fault_hook: Optional[FaultHookFn] = None
         #: Initiation path of the most recent transfer ("kernel" or a
         #: user-level method name), set by DmaEngine.try_start so the
@@ -221,28 +221,6 @@ class DmaTransferEngine:
             self.sim.schedule(transfer.duration + max(fault[1], 1),
                               complete, label=f"dma-complete-dup[{size}B]")
         return transfer
-
-    # -- snapshot/restore -----------------------------------------------------
-
-    def snapshot(self) -> tuple:
-        """Capture counters plus the history length and completion flags.
-
-        History is append-only, so a length marker plus the ``completed``
-        flag of each surviving transfer reproduces it exactly; the
-        completion *events* themselves are the simulator's to restore.
-        """
-        return (self.transfers_started, self.bytes_moved, len(self.history),
-                [t.completed for t in self.history])
-
-    def restore(self, token: tuple) -> None:
-        """Return to a state captured by :meth:`snapshot`."""
-        started, moved, length, flags = token
-        self.transfers_started = started
-        self.bytes_moved = moved
-        del self.history[length:]
-        for transfer, completed in zip(self.history, flags):
-            transfer.completed = completed
-        self._fp_hist = ()
 
     def fingerprint(self) -> tuple:
         """Hashable value capture of every transfer plus the counters.

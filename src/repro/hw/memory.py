@@ -45,16 +45,13 @@ class PhysicalMemory:
                 f"RAM size must be a positive page multiple, got {size}")
         self.size = size
         self._data = bytearray(size)
-        # Undo journal for snapshot/restore: None when journaling is off
-        # (the default — zero overhead beyond one branch per mutation).
-        self._journal: Optional[List[Tuple[int, bytes]]] = None
-        # Shared undo journal (page-granular CoW mode): None when unbound.
+        # Shared undo journal (page-granular copy-on-write): None when
+        # unbound, the default — one branch per mutation.
         self._undo: Optional[UndoJournal] = None
         self._page_epochs: Dict[int, int] = {}
         #: Page saves recorded but not yet undone.  While non-zero the
         #: RAM content is not derivable from the harness fingerprint, so
-        #: the checker must skip memoization (same role journal_writes
-        #: plays for the legacy byte-range journal).
+        #: the checker must skip memoization.
         self.outstanding_page_saves = 0
         #: Cumulative dirty pages copied since the journal was bound.
         self.dirty_pages_saved = 0
@@ -104,17 +101,7 @@ class PhysicalMemory:
         self._journal_range(pdst, nbytes)
         self._data[pdst:pdst + nbytes] = self._data[psrc:psrc + nbytes]
 
-    # -- snapshot/restore -----------------------------------------------------
-
-    def _journal_range(self, paddr: int, nbytes: int) -> None:
-        """Record the bytes about to be overwritten (journaling only)."""
-        if nbytes <= 0:
-            return
-        if self._journal is not None:
-            self._journal.append(
-                (paddr, bytes(self._data[paddr:paddr + nbytes])))
-        if self._undo is not None:
-            self._cow_range(paddr, nbytes)
+    # -- undo journal ---------------------------------------------------------
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal.
@@ -130,10 +117,12 @@ class PhysicalMemory:
         self.outstanding_page_saves = 0
         self.dirty_pages_saved = 0
 
-    def _cow_range(self, paddr: int, nbytes: int) -> None:
-        """Save every page overlapping the range, once per journal epoch."""
+    def _journal_range(self, paddr: int, nbytes: int) -> None:
+        """Save every page overlapping the range about to be overwritten,
+        once per journal epoch (no-op while no journal is bound)."""
         journal = self._undo
-        assert journal is not None
+        if journal is None or nbytes <= 0:
+            return
         epoch = journal.epoch
         epochs = self._page_epochs
         data = self._data
@@ -152,30 +141,6 @@ class PhysicalMemory:
         base, old = saved
         self._data[base:base + PAGE_SIZE] = old
         self.outstanding_page_saves -= 1
-
-    @property
-    def journal_writes(self) -> int:
-        """Mutations recorded since journaling began (0 when off)."""
-        return len(self._journal) if self._journal is not None else 0
-
-    def snapshot(self) -> int:
-        """Capture RAM state as an undo-journal mark (O(1)).
-
-        The first snapshot turns journaling on: from then on every
-        mutation records the bytes it overwrites, so restore costs
-        O(bytes written since the mark), not O(RAM size).
-        """
-        if self._journal is None:
-            self._journal = []
-        return len(self._journal)
-
-    def restore(self, mark: int) -> None:
-        """Undo every mutation made since :meth:`snapshot` returned *mark*."""
-        if self._journal is None:
-            raise MemoryError_("restore without a prior snapshot")
-        for paddr, old in reversed(self._journal[mark:]):
-            self._data[paddr:paddr + len(old)] = old
-        del self._journal[mark:]
 
     # -- word access --------------------------------------------------------------
 

@@ -161,17 +161,7 @@ class NetworkInterface(DmaEngine):
         self.remote_sends += 1
         self.fabric.send_write(self.node_id, dst_node, dst_local, payload)
 
-    # -- snapshot/restore ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Engine snapshot plus the NIC's own send counter."""
-        token = super().snapshot()
-        token["remote_sends"] = self.remote_sends
-        return token
-
-    def restore(self, token: dict) -> None:
-        super().restore(token)
-        self.remote_sends = token["remote_sends"]
+    # -- undo journal --------------------------------------------------------------
 
     def _scalar_state(self) -> tuple:
         return super()._scalar_state() + (self.remote_sends,)

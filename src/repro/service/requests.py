@@ -78,8 +78,10 @@ class Request:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Request":
+    def from_dict(cls, data: Any) -> "Request":
         """Parse a request object (the ``repro serve`` wire format)."""
+        if not isinstance(data, dict):
+            raise ConfigError("a request must be a JSON object")
         known = {"tenant", "kind", "size", "hot", "shard", "tick",
                  "req_id", "trace"}
         unknown = set(data) - known

@@ -35,14 +35,12 @@ identically regardless of which tier an event sat in.
 :class:`Event` instances are ``__slots__``-backed, and events scheduled
 with ``transient=True`` (fire-and-forget callbacks whose handle nobody
 retains) are recycled through a free list after firing, so hot loops do
-not allocate one object per event.  Recycling switches itself off as
-soon as a snapshot is taken or an undo journal is bound, because both
-may legitimately hold references to already-fired events.
+not allocate one object per event.  Recycling is off while an undo
+journal is bound, because the journal holds references to fired events.
 
-Snapshot/restore supports the incremental model checker two ways: the
-legacy :meth:`Simulator.snapshot`/:meth:`Simulator.restore` pair copies
-the live event list, while :meth:`Simulator.bind_journal` switches the
-simulator to O(changes) undo journaling (see :mod:`repro.sim.journal`).
+The incremental model checker backtracks through
+:meth:`Simulator.bind_journal`, which switches the simulator to
+O(changes) undo journaling (see :mod:`repro.sim.journal`).
 """
 
 from __future__ import annotations
@@ -153,7 +151,6 @@ class Simulator:
         self._sig: Optional[Tuple[Tuple[Time, str], ...]] = None
         # -- free list --
         self._free: List[Event] = []
-        self._no_recycle = False
         # -- undo journal --
         self._journal: Optional[UndoJournal] = None
         self._j_epoch = 0
@@ -164,10 +161,10 @@ class Simulator:
         """Attach (or detach, with None) a shared undo journal.
 
         While bound, every mutation records its undo into the journal, so
-        ``journal.mark()`` / ``journal.undo_to(mark)`` replace
-        :meth:`snapshot` / :meth:`restore` at O(changes) cost.  Event
-        recycling is disabled while a journal is bound (undo entries hold
-        references to fired events).
+        ``journal.undo_to(mark)`` returns the clock and event store to
+        their state at ``mark = journal.mark()`` at O(changes) cost.
+        Event recycling is disabled while a journal is bound (undo
+        entries hold references to fired events).
         """
         self._journal = journal
         self._j_epoch = 0
@@ -420,8 +417,7 @@ class Simulator:
         self._live -= 1
         self._events_fired += 1
         event.action()
-        if (event.transient and journal is None and not self._no_recycle
-                and len(self._free) < 1024):
+        if event.transient and journal is None and len(self._free) < 1024:
             event.action = _NOOP
             event.on_cancel = None
             self._free.append(event)
@@ -574,50 +570,6 @@ class Simulator:
             if head is None or head.when > target:
                 return
             self.step()
-
-    # -- snapshot/restore -----------------------------------------------------
-
-    def snapshot(self) -> Tuple[Any, ...]:
-        """Capture clock, counters, and the queued events, by copy.
-
-        The events are captured as a flat list plus each event's
-        ``cancelled`` flag; the Event objects themselves are immutable
-        apart from that flag, so re-placing the list and the flags
-        reproduces the queue exactly — including events that were popped
-        or cancelled after the snapshot was taken.  Taking a snapshot
-        permanently disables transient-event recycling (the snapshot
-        holds references that a recycler would corrupt).
-
-        Journal-bound simulators should use ``journal.mark()`` /
-        ``journal.undo_to`` instead; this copying path remains for
-        stand-alone use and differential testing.
-        """
-        self._no_recycle = True
-        events = self._all_events()
-        return (self.now, self._seq, self._events_fired, self._live,
-                events, [e.cancelled for e in events])
-
-    def restore(self, token: Tuple[Any, ...]) -> None:
-        """Return to a state captured by :meth:`snapshot`."""
-        now, seq, fired, live, events, flags = token
-        self._sig = None
-        self.now = now
-        self._seq = seq
-        self._events_fired = fired
-        self._live = live
-        for slot in self._slots:
-            slot.clear()
-        self._far.clear()
-        self._wheel_count = 0
-        self._wheel_base = (now >> self._gran_bits) << self._gran_bits
-        self._horizon = self._wheel_base + self._span
-        self._head = None
-        self._head_dirty = True
-        for event, cancelled in zip(events, flags):
-            event.cancelled = cancelled
-            self._place(event)
-        self._head = None
-        self._head_dirty = True
 
 
 def _NOOP() -> None:  # pragma: no cover - free-list placeholder

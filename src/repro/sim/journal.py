@@ -1,13 +1,13 @@
 """Shared undo journal: O(changes) snapshot/restore for the checker.
 
-The incremental checker's snapshot/restore protocol originally captured
-every component's state by value on each snapshot — O(total state) per
-tree edge even when a delivery touched two scalars.  The
-:class:`UndoJournal` inverts that: components *record the old value of
-whatever they are about to mutate* into one shared journal, a snapshot
-is just a mark (the current journal length), and restore replays the
-entries recorded since the mark, newest first.  Cost is proportional to
-what actually changed, not to what exists.
+The incremental checker backtracks after every tree edge, usually
+after a delivery that touched two scalars.  Rather than capturing every
+component's state by value (O(total state) per edge), components
+*record the old value of whatever they are about to mutate* into one
+shared :class:`UndoJournal`; a snapshot is just a mark (the current
+journal length), and restore replays the entries recorded since the
+mark, newest first.  Cost is proportional to what actually changed,
+not to what exists.
 
 Two recording disciplines coexist, chosen per mutation site:
 

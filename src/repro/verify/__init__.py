@@ -15,8 +15,6 @@ executable:
   scenario against the properties (the naive replay oracle);
 * :mod:`repro.verify.incremental` — the prefix-sharing checker: same
   results, each access delivered once per choice-tree edge;
-* :mod:`repro.verify.parallel` — multiprocessing fan-out across
-  scenarios and top-level DFS branches, with deterministic merging;
 * :mod:`repro.verify.stress` — whole-machine multiprogrammed stress runs
   under a seeded preemptive scheduler;
 * :mod:`repro.verify.faulted` — re-verification of every method under
@@ -65,7 +63,6 @@ from .model_check import (
     check_scenario,
     replay_interleaving,
 )
-from .parallel import ParallelChecker, ParallelReport
 from .proof import LemmaResult, ProofReport, prove_fig8
 from .properties import ProcessIntent, Rights, Violation
 from .stress import StressReport, run_stress
@@ -78,8 +75,6 @@ __all__ = [
     "FaultSpec",
     "LemmaResult",
     "MethodFaultReport",
-    "ParallelChecker",
-    "ParallelReport",
     "ProcessIntent",
     "ProofReport",
     "ProtocolHarness",

@@ -24,9 +24,9 @@ retained examples) is identical to the naive oracle's, which the
 differential tests assert on every built-in scenario.
 
 Backtracking goes through the shared undo journal
-(:meth:`~repro.verify.interleave.ProtocolHarness.enable_journal`):
-snapshot is an O(1) mark and restore replays only the mutations made
-since it.  Two further strategies keep small and degenerate inputs fast
+(:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`): snapshot
+is an O(1) mark and restore replays only the mutations made since it.
+Two further strategies keep small and degenerate inputs fast
 (see docs/verification.md "Small-scenario cutover"): scenarios under
 :data:`SMALL_SCENARIO_CUTOVER` orders skip the DFS for a journaled
 fast-replay of every order, and a node whose every remaining access
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
 from ..obs.profile import PhaseProfiler
@@ -67,15 +67,13 @@ _NO_CHANGE = object()
 #: fingerprint/memoization overhead exceeds what prefix sharing saves,
 #: which is exactly the speedup<1.0 regression BENCH_checker recorded on
 #: the 2-to-21-order scenarios; fast replay also skips the per-order
-#: harness reconstruction that dominates the naive oracle.
+#: harness reconstruction that dominates the naive oracle.  Re-measured
+#: on the nine built-in scenarios under 30 orders (CPython 3.11, 2 vCPUs,
+#: median of 5, two runs): at threshold 0 three fell below 1.0x the
+#: naive oracle in a run (pair-race-flash 0.78x), a DFS without
+#: memoization under 30 orders still gave 0.91x (fig6-repeated4), and
+#: with the cutover all nine ran at 1.08-2.07x.
 SMALL_SCENARIO_CUTOVER = 30
-
-#: Skip transposition lookups when fewer than this many accesses remain.
-#: Tuned on fig8-repeated5-2adv: with the fingerprint and event-signature
-#: caches a lookup is cheap enough that memoization wins all the way down
-#: to the last choice point (26.5 ms at 1 vs 30.9 ms at 3, 75.9 ms at 5),
-#: so the threshold stays at 1 (no elision).
-MEMO_MIN_REMAINING = 1
 
 
 @dataclass
@@ -85,14 +83,14 @@ class CheckStats:
     Attributes:
         leaves: interleavings covered (== naive total_interleavings).
         accesses_delivered: accesses actually delivered to the engine
-            (== tree edges explored + any forced prefix deliveries).
+            (== tree edges explored).
         naive_accesses: what the naive replayer would have delivered
             (leaves × interleaving length).
         snapshots / restores: backtracking operations performed.
         transposition_hits: subtrees reused from the table.
         transposition_entries: distinct states stored in the table.
         journal_entries_replayed: undo-journal entries replayed across
-            all restores (0 when the deep-copy path was used).
+            all restores.
         dirty_pages: RAM pages copied by the page-granular CoW layer.
         batched_deliveries: accesses delivered inside forced-tail
             batches (a single live stream leaves no choice points, so
@@ -149,7 +147,6 @@ def check_scenario_incremental(
         progress: Optional[Callable[[int], None]] = None,
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
-        prefix_choices: Optional[Sequence[int]] = None,
         profiler: Optional[PhaseProfiler] = None,
 ) -> CheckResult:
     """Check a scenario with prefix sharing; naive-identical results.
@@ -169,11 +166,6 @@ def check_scenario_incremental(
             orders (transposition hits can make it jump).
         progress_every: callback period in interleavings.
         stats: optional :class:`CheckStats` to fill with work counters.
-        prefix_choices: optional forced stream-index choices delivered
-            before exploration begins — the parallel checker uses this
-            to hand each worker one top-level DFS branch.  The result
-            then covers (and counts) only that branch's subtree, with
-            examples still being complete interleavings.
         profiler: optional :class:`~repro.obs.profile.PhaseProfiler`;
             when given, accumulates wall time for the ``snapshot``,
             ``restore``, ``deliver``, and ``leaf`` phases and counts
@@ -182,8 +174,7 @@ def check_scenario_incremental(
             per operation.
 
     Raises:
-        VerificationError: if the interleaving count exceeds the cap, or
-            a prefix choice names an exhausted/unknown stream.
+        VerificationError: if the interleaving count exceeds the cap.
     """
     streams = scenario.streams
     lengths = [len(s) for s in streams]
@@ -197,16 +188,14 @@ def check_scenario_incremental(
         stats = CheckStats()
 
     harness = make_harness(scenario)
-    harness.enable_journal()
     positions = [0] * len(streams)
     final_status: Dict[int, int] = {}
     memo: Dict[Any, _Subtree] = {}
     track = {"leaves": 0, "reported": 0}
 
     def finish_stats() -> None:
-        if harness.journal is not None:
-            stats.journal_entries_replayed = harness.journal.entries_replayed
-            stats.dirty_pages = harness.ram.dirty_pages_saved
+        stats.journal_entries_replayed = harness.journal.entries_replayed
+        stats.dirty_pages = harness.ram.dirty_pages_saved
 
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
@@ -280,7 +269,7 @@ def check_scenario_incremental(
     # harness is never reconstructed (the naive oracle's main cost).
     # Iteration order matches the DFS/naive enumeration, so counts and
     # retained examples are bit-identical.
-    if prefix_choices is None and expected < SMALL_SCENARIO_CUTOVER:
+    if expected < SMALL_SCENARIO_CUTOVER:
         result = CheckResult(scenario=scenario.name)
         order_status: Dict[int, int] = {}
         for order in iter_interleavings_shared(streams):
@@ -361,7 +350,7 @@ def check_scenario_incremental(
         if remaining == 0:
             return leaf()
         key = None
-        if use_transposition and remaining >= MEMO_MIN_REMAINING:
+        if use_transposition:
             fingerprint = harness.fingerprint()
             if fingerprint is not None:
                 key = (tuple(positions),
@@ -420,24 +409,7 @@ def check_scenario_incremental(
             memo[key] = node
         return node
 
-    # Forced prefix (parallel branch fan-out): deliver, no backtracking.
-    prefix_accesses: List[AccessSpec] = []
-    for index in prefix_choices or ():
-        if not 0 <= index < len(streams):
-            raise VerificationError(
-                f"prefix choice {index} out of range for "
-                f"{len(streams)} streams")
-        pos = positions[index]
-        if pos >= lengths[index]:
-            raise VerificationError(
-                f"prefix choice {index} exhausts stream of "
-                f"length {lengths[index]}")
-        access = streams[index][pos]
-        deliver(access)
-        positions[index] = pos + 1
-        prefix_accesses.append(access)
-
-    root = dfs(total_length - len(prefix_accesses))
+    root = dfs(total_length)
     stats.leaves = root.leaves
     stats.naive_accesses = root.leaves * total_length
     stats.transposition_entries = len(memo)
@@ -447,7 +419,6 @@ def check_scenario_incremental(
     result.total_interleavings = root.leaves
     result.violating_interleavings = root.violating
     result.violations_by_property = dict(root.by_prop)
-    prefix = tuple(prefix_accesses)
-    result.examples = [(prefix + suffix, list(violations))
-                       for suffix, violations in root.examples]
+    result.examples = [(order, list(violations))
+                       for order, violations in root.examples]
     return result

@@ -81,7 +81,8 @@ class ProtocolHarness:
 
     def reset(self) -> None:
         """Fresh simulator, RAM, engine, and protocol (keys and setup
-        ops re-applied)."""
+        ops re-applied).  The new stack is unjournaled until the next
+        :meth:`snapshot`."""
         self.sim = Simulator()
         self.ram = PhysicalMemory(self.ram_size)
         ctx_bits = max(1, (self.n_contexts - 1).bit_length())
@@ -95,23 +96,7 @@ class ProtocolHarness:
             self.engine.install_key(ctx_id, key)
         for op in self._setups:
             self.protocol.apply_setup(op)
-        if self.journal is not None:
-            # The old journal's undo entries reference the components we
-            # just discarded — start a fresh one for the new stack.
-            self.enable_journal()
-
-    def enable_journal(self) -> UndoJournal:
-        """Switch snapshot/restore to the shared undo journal.
-
-        After this, :meth:`snapshot` is an O(1) ``journal.mark()`` and
-        :meth:`restore` replays only the mutations recorded since the
-        mark, instead of copying the whole component stack each way.
-        """
-        self.journal = UndoJournal()
-        self.sim.bind_journal(self.journal)
-        self.ram.bind_journal(self.journal)
-        self.engine.bind_journal(self.journal)
-        return self.journal
+        self.journal = None
 
     # -- delivery ----------------------------------------------------------
 
@@ -168,29 +153,28 @@ class ProtocolHarness:
 
     # -- snapshot/restore --------------------------------------------------
 
-    def snapshot(self):
-        """Capture the whole component stack (sim, RAM, engine, protocol).
+    def snapshot(self) -> int:
+        """Mark the whole component stack (sim, RAM, engine, protocol).
 
         The incremental checker snapshots before each delivery and
         restores on backtrack, so each access is delivered once per tree
-        edge instead of once per interleaving it appears in.  With
-        :meth:`enable_journal` the capture is an O(1) journal mark;
-        otherwise each component copies its state.
+        edge instead of once per interleaving it appears in.  The first
+        snapshot after a reset binds one shared undo journal to the
+        stack; from then on every mutation records its undo, and the
+        snapshot itself is an O(1) ``journal.mark()``.
         """
-        if self.journal is not None:
-            return self.journal.mark()
-        return (self.sim.snapshot(), self.ram.snapshot(),
-                self.engine.snapshot())
+        journal = self.journal
+        if journal is None:
+            journal = self.journal = UndoJournal()
+            self.sim.bind_journal(journal)
+            self.ram.bind_journal(journal)
+            self.engine.bind_journal(journal)
+        return journal.mark()
 
-    def restore(self, token) -> None:
-        """Return the full stack to a state captured by :meth:`snapshot`."""
-        if self.journal is not None:
-            self.journal.undo_to(token)
-            return
-        sim_token, ram_mark, engine_token = token
-        self.sim.restore(sim_token)
-        self.ram.restore(ram_mark)
-        self.engine.restore(engine_token)
+    def restore(self, token: int) -> None:
+        """Undo every mutation made since :meth:`snapshot` returned
+        *token*."""
+        self.journal.undo_to(token)
 
     def fingerprint(self) -> Optional[tuple]:
         """Hashable capture of all behaviour-determining harness state.
@@ -202,12 +186,9 @@ class ProtocolHarness:
         """
         if self.engine.trace.enabled:
             return None
-        if self.journal is not None:
-            # Un-undone page saves mean RAM content differs from its
-            # bind-time state, which the fingerprint does not cover.
-            if self.ram.outstanding_page_saves:
-                return None
-        elif self.ram.journal_writes:
+        if self.ram.outstanding_page_saves:
+            # RAM content differs from its bind-time state, which the
+            # fingerprint does not cover.
             return None
         return (self.sim.now, self.sim.live_event_signature(),
                 self.engine.fingerprint())

@@ -309,7 +309,6 @@ class TestCapioContainment:
         before checking starts; only user accesses run past the mark.
         """
         harness = ProtocolHarness(lambda: make_protocol("capio"))
-        harness.enable_journal()
         caps = self._run(harness, prefix)
         for op in suffix:  # pre-apply the suffix's kernel ops
             if op[0] != "attempt":

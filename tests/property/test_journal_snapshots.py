@@ -1,14 +1,14 @@
-"""Journaled snapshots are observationally identical to deep copies.
+"""Journaled snapshots restore exactly and change no delivery.
 
-The undo journal (``ProtocolHarness.enable_journal``) replaces the
-legacy copy-everything snapshot path with O(changes) mark/replay.  The
-checker's soundness rests on the two paths being indistinguishable:
-every observable bit of harness state — RAM bytes, simulator clock and
-event set, engine registers and tables, initiation records, protocol
-FSM scalars — must evolve identically under deliver, and return
-identically under restore, including arbitrarily nested snapshot
-stacks and with the observability layers (trace log, span tracer)
-recording.
+The checker backtracks through one shared undo journal: the first
+``ProtocolHarness.snapshot()`` binds it, every mark is O(1), and
+restore replays the mutations recorded since the mark.  Its soundness
+rests on two facts tested here: a journaled harness delivers exactly
+what an unjournaled one does, and every observable bit of harness
+state — RAM bytes, simulator clock and event set, engine registers and
+tables, initiation records, protocol FSM scalars — returns exactly
+under restore, including arbitrarily nested snapshot stacks and with
+the observability layers (trace log, span tracer) recording.
 """
 
 from __future__ import annotations
@@ -58,23 +58,20 @@ def method_streams(method: str) -> List[List[AccessSpec]]:
     ]
 
 
-def make_method_harness(method: str, journaled: bool) -> ProtocolHarness:
+def make_method_harness(method: str) -> ProtocolHarness:
     harness = ProtocolHarness(lambda: make_protocol(method))
     if method == "keyed":
         harness.install_key(0, KEY_1)
         harness.install_key(1, KEY_2)
     install_modern_setup(harness, method)
-    if journaled:
-        harness.enable_journal()
     return harness
 
 
 def observe(harness: ProtocolHarness) -> Tuple:
     """Every observable bit of harness state, as comparable values.
 
-    Deliberately identical between journal and legacy modes — nothing
-    here reads the journal, so two harnesses in different modes can be
-    compared directly.
+    Nothing here reads the journal, so a journaled and an unjournaled
+    harness can be compared directly.
     """
     scalars = tuple(sorted(
         (name, value) for name, value in vars(harness.protocol).items()
@@ -108,29 +105,27 @@ def interleaving(data, streams: List[List[AccessSpec]]) -> List[AccessSpec]:
 
 @settings(max_examples=40, deadline=None)
 @given(method=st.sampled_from(sorted(METHODS)), data=st.data())
-def test_journaled_matches_legacy_random_walk(method, data):
-    """Journal and deep-copy harnesses stay in observational lockstep.
+def test_journaled_matches_plain_random_walk(method, data):
+    """A journaled harness stays in lockstep with one that only delivers.
 
-    For every access of a random interleaving, both harnesses do
-    snapshot -> deliver -> compare -> restore -> compare -> re-deliver,
-    so divergence is caught at the exact step it appears.
+    For every access of a random interleaving the journaled harness
+    does snapshot -> deliver -> compare -> restore -> compare ->
+    re-deliver while the plain harness just delivers, so a journaling
+    side effect on delivery is caught at the exact step it appears.
     """
-    jh = make_method_harness(method, journaled=True)
-    lh = make_method_harness(method, journaled=False)
-    assert observe(jh) == observe(lh)
+    jh = make_method_harness(method)
+    plain = make_method_harness(method)
+    assert observe(jh) == observe(plain)
     for access in interleaving(data, method_streams(method)):
-        before = observe(lh)
-        j_token, l_token = jh.snapshot(), lh.snapshot()
-        j_status, l_status = jh.deliver(access), lh.deliver(access)
-        assert j_status == l_status
-        assert observe(jh) == observe(lh)
-        jh.restore(j_token)
-        lh.restore(l_token)
+        before = observe(jh)
+        token = jh.snapshot()
+        assert jh.deliver(access) == plain.deliver(access)
+        assert observe(jh) == observe(plain)
+        jh.restore(token)
         assert observe(jh) == before
-        assert observe(lh) == before
         jh.deliver(access)  # commit the step and walk one level deeper
-        lh.deliver(access)
-        assert observe(jh) == observe(lh)
+        assert observe(jh) == observe(plain)
+    assert plain.journal is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +136,7 @@ def test_nested_snapshot_stack_unwinds_exactly(method, data):
     Mirrors the checker's DFS: marks nest arbitrarily deep, each undo
     must land bit-exactly on the state its mark captured.
     """
-    harness = make_method_harness(method, journaled=True)
+    harness = make_method_harness(method)
     order = interleaving(data, method_streams(method))
     stack: List[Tuple[object, Tuple]] = []
     cursor = 0
@@ -174,7 +169,7 @@ def test_spans_and_trace_survive_journal_restore(method):
     (open/finished spans, id counter) and appends trace events; undoing
     to a mark must put both back exactly.
     """
-    harness = make_method_harness(method, journaled=True)
+    harness = make_method_harness(method)
     engine = harness.engine
     engine.spans.enabled = True
     engine.trace.enabled = True
@@ -192,3 +187,25 @@ def test_spans_and_trace_survive_journal_restore(method):
         harness.deliver(access)
     harness.restore(token)
     assert obs_state() == before
+
+
+def test_journal_binds_on_first_snapshot_not_on_replay():
+    """The naive oracle's replay() never journals; snapshot() binds one
+    journal to the whole stack, and the next reset drops it."""
+    harness = make_method_harness("keyed")
+    order = method_streams("keyed")[0]
+    harness.replay(order)
+    assert harness.journal is None
+    mark = harness.snapshot()
+    journal = harness.journal
+    assert journal is not None
+    assert harness.sim._journal is journal
+    assert harness.ram._undo is journal
+    assert harness.engine._undo is journal
+    assert harness.engine.transfer_engine._undo is journal
+    harness.deliver(order[0])
+    harness.restore(mark)
+    harness.snapshot()
+    assert harness.journal is journal  # later snapshots reuse it
+    harness.replay(order)
+    assert harness.journal is None

@@ -194,6 +194,8 @@ def test_tcp_roundtrip_and_stats():
                 {"op": "stats"},
                 "not json at all",
                 {"tenant": "bob", "bogus_field": 1},
+                ["tenant"],
+                {"tenant": "carol", "size": 256},
         ):
             raw = (line if isinstance(line, str)
                    else json.dumps(line))
@@ -204,13 +206,16 @@ def test_tcp_roundtrip_and_stats():
         await server
         return responses
 
-    dma, stats, bad_json, bad_field = run(scenario())
+    dma, stats, bad_json, bad_field, not_object, after = run(scenario())
     assert dma["ok"] is True
     assert dma["tenant"] == "alice"
     assert dma["bytes_moved"] == 512
     assert stats["telemetry"]["completed"] == 1
     assert "error" in bad_json
     assert "bogus_field" in bad_field["error"]
+    assert not_object == {"error": "a request must be a JSON object"}
+    assert after["ok"] is True  # the connection survived the array
+    assert after["tenant"] == "carol"
 
 
 def test_full_shard_rejects_with_a_reason_and_keeps_serving():

@@ -192,6 +192,11 @@ def test_request_validation():
         Request.from_dict({"tenant": "a", "nope": 1})
     with pytest.raises(ConfigError):
         Request.from_dict({"kind": "dma"})
+    # An array of field names would pass the field checks and then
+    # fail in dict(data) with a ValueError the wire handler misses.
+    for data in (["tenant"], "tenant", None):
+        with pytest.raises(ConfigError, match="JSON object"):
+            Request.from_dict(data)
 
 
 def test_pattern_and_canary_are_tenant_specific():

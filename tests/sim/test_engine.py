@@ -181,35 +181,6 @@ def test_pending_counts_only_live_events_during_run():
     assert survivor == ["late"]
 
 
-def test_snapshot_restore_roundtrip():
-    sim = Simulator()
-    fired = []
-    sim.schedule(10, lambda: fired.append("a"))
-    later = sim.schedule(30, lambda: fired.append("b"))
-    sim.advance(15)
-    token = sim.snapshot()
-    later.cancel()
-    sim.advance(100)
-    assert (sim.now, sim.pending) == (115, 0)
-    sim.restore(token)
-    assert (sim.now, sim.pending, sim.events_fired) == (15, 1, 1)
-    sim.run()
-    assert fired == ["a", "b"]
-
-
-def test_snapshot_restore_undoes_cancellation():
-    """Restore revives an event cancelled after the snapshot."""
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, lambda: fired.append(True))
-    token = sim.snapshot()
-    event.cancel()
-    sim.restore(token)
-    assert sim.pending == 1
-    sim.run()
-    assert fired == [True]
-
-
 # -- event wheel: far-future heap fallback and rebase ----------------------
 
 
@@ -275,16 +246,6 @@ def test_transient_events_are_recycled():
     assert event is recycled  # the pool object was reused
     assert not event.cancelled
     sim.run()
-
-
-def test_recycling_disabled_after_legacy_snapshot():
-    """A legacy snapshot may hold references to fired events, so the
-    free-list must stop collecting them once one has been taken."""
-    sim = Simulator()
-    sim.snapshot()
-    sim.schedule(10, lambda: None, transient=True)
-    sim.run()
-    assert sim._free == []
 
 
 def test_recycling_disabled_under_journal():

@@ -79,32 +79,3 @@ def test_progress_callback_fires_and_reaches_total():
 def test_max_interleavings_cap_raises():
     with pytest.raises(VerificationError):
         check_scenario_incremental(fig8_scenario(2), max_interleavings=100)
-
-
-def test_prefix_choices_partition_the_tree():
-    """Forcing each top-level branch partitions counts exactly."""
-    scenario = fig8_scenario(2)
-    whole = check_scenario_incremental(scenario)
-    branches = [
-        check_scenario_incremental(scenario, prefix_choices=[index])
-        for index in range(len(scenario.streams))
-    ]
-    assert (sum(b.total_interleavings for b in branches)
-            == whole.total_interleavings)
-    assert (sum(b.violating_interleavings for b in branches)
-            == whole.violating_interleavings)
-    # Branch examples are complete interleavings starting with the
-    # forced access.
-    for index, branch in enumerate(branches):
-        for order, _violations in branch.examples:
-            assert order[0] == scenario.streams[index][0]
-
-
-def test_prefix_choices_validation():
-    scenario = fig8_scenario(1)
-    with pytest.raises(VerificationError):
-        check_scenario_incremental(scenario, prefix_choices=[99])
-    n_victim = len(scenario.streams[0])
-    with pytest.raises(VerificationError):
-        check_scenario_incremental(scenario,
-                                   prefix_choices=[0] * (n_victim + 1))
