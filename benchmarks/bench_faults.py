@@ -73,7 +73,7 @@ def bench_cell(method: str, rate: float, ops: int, seed: int) -> dict:
     injector = None
     if rate > 0.0:
         plan = bernoulli_plan(rate, seed=seed)
-        injector = Injector(plan, ws.sim, trace=ws.trace).attach(ws)
+        injector = Injector(plan, ws.sim).attach(ws)
 
     successes = recovered = 0
     recovery_us: List[float] = []

@@ -10,17 +10,21 @@ first touch of each shadow page, is reported separately.
 
 from __future__ import annotations
 
+import statistics
+from typing import List
+
 from repro.analysis.report import Table, format_us
 from repro.core.api import DmaChannel
 from repro.core.machine import MachineConfig, Workstation
 from repro.core.methods import TABLE1_METHODS
-from repro.sim.stats import LatencyStat
+from repro.sim.stats import percentile
 from repro.units import to_us
 
 SAMPLES = 200
 
 
-def distribution(method: str) -> LatencyStat:
+def distribution(method: str) -> List[int]:
+    """*SAMPLES* warm initiation latencies (ps) of *method*."""
     ws = Workstation(MachineConfig(method=method))
     proc = ws.kernel.spawn()
     if method != "kernel":
@@ -34,38 +38,39 @@ def distribution(method: str) -> LatencyStat:
     chan = DmaChannel(ws, proc)
     chan.initiate(src.vaddr, dst.vaddr, 64)  # warm-up
     ws.drain()
-    stat = LatencyStat(method, keep_samples=True)
+    samples = []
     for index in range(SAMPLES):
         offset = (index % 128) * 64
         result = chan.initiate(src.vaddr + offset, dst.vaddr + offset,
                                64)
         assert result.ok
-        stat.record(result.elapsed)
+        samples.append(result.elapsed)
         ws.drain()
-    return stat
+    return samples
 
 
 def test_latency_distributions(record, benchmark):
     def run():
         return {m: distribution(m) for m in TABLE1_METHODS}
 
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    samples = benchmark.pedantic(run, rounds=1, iterations=1)
     table = Table(
         f"Initiation latency distribution over {SAMPLES} samples (us)",
         ["method", "min", "p50", "p99", "max", "stddev"])
     for method in TABLE1_METHODS:
-        stat = stats[method]
+        values = samples[method]
         table.add_row(method,
-                      format_us(to_us(stat.min), 2),
-                      format_us(to_us(stat.percentile(50)), 2),
-                      format_us(to_us(stat.percentile(99)), 2),
-                      format_us(to_us(stat.max), 2),
-                      format_us(stat.stddev / 1e6, 3))
+                      format_us(to_us(min(values)), 2),
+                      format_us(to_us(percentile(values, 50)), 2),
+                      format_us(to_us(percentile(values, 99)), 2),
+                      format_us(to_us(max(values)), 2),
+                      format_us(to_us(statistics.pstdev(values)), 3))
     record("latency_distribution", table.render())
 
     for method in TABLE1_METHODS:
-        stat = stats[method]
+        values = samples[method]
         # Warm steady state: the spread is tiny relative to the mean.
-        assert stat.max - stat.min <= 0.1 * stat.mean, method
+        assert (max(values) - min(values)
+                <= 0.1 * statistics.fmean(values)), method
         # And the median equals Table 1's mean story.
-        assert stat.percentile(50) == stat.percentile(99)
+        assert percentile(values, 50) == percentile(values, 99)

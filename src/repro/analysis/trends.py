@@ -33,6 +33,7 @@ from ..core.api import DmaChannel
 from ..core.machine import MachineConfig, Workstation
 from ..core.timing import MachineTiming
 from ..net.link import LinkSpec
+from ..sim.stats import percentile
 from ..units import Time, to_us, us
 
 
@@ -174,41 +175,6 @@ def crossover_table(methods: Sequence[str], links: Sequence[LinkSpec],
 # ----------------------------------------------------------------------
 # Service trend analysis (the always-on DMA service's telemetry format)
 # ----------------------------------------------------------------------
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0..100) by linear interpolation.
-
-    Accepts unsorted input; an empty sequence maps to 0.0 so trend
-    windows with no completions stay representable.
-    """
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (len(ordered) - 1) * q / 100.0
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
-
-
-def latency_summary(values: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/p99 plus mean and max of a latency sample, in one dict."""
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
-                "max": 0.0, "n": 0}
-    return {
-        "p50": round(percentile(values, 50.0), 3),
-        "p95": round(percentile(values, 95.0), 3),
-        "p99": round(percentile(values, 99.0), 3),
-        "mean": round(sum(values) / len(values), 3),
-        "max": round(max(values), 3),
-        "n": len(values),
-    }
-
 
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index: ``(sum x)^2 / (n * sum x^2)``.

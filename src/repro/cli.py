@@ -321,12 +321,9 @@ def cmd_trace(args: argparse.Namespace) -> None:
     spans = run.spans()
     if args.export == "chrome":
         path = args.output or "trace.json"
-        trace = write_chrome_trace(path, spans,
-                                   events=run.ws.trace.events(),
-                                   metrics=run.ws.metrics)
+        trace = write_chrome_trace(path, spans, metrics=run.ws.metrics)
         print(f"wrote {path}: {len(trace['traceEvents'])} trace events "
-              f"({len(spans)} spans, {len(run.ws.trace)} log records, "
-              f"{len(run.ws.metrics)} metric samples)")
+              f"({len(spans)} spans, {len(run.ws.metrics)} metric samples)")
         print("open it in https://ui.perfetto.dev or chrome://tracing")
     elif args.export == "jsonl":
         from .obs.writer import write_text

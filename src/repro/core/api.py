@@ -437,46 +437,10 @@ class DmaChannel:
         times with exponential, jittered backoff (simulated-time waits),
         then degrades to the kernel syscall path.  All activity is
         counted in ``ws.stats`` (``dma.retries``, ``dma.recoveries``,
-        ``dma.retry_exhausted``, ``dma.kernel_fallbacks``) and emitted
-        to the trace log.
+        ``dma.retry_exhausted``, ``dma.kernel_fallbacks``) and recorded
+        as ``dma.reliable`` / ``dma.backoff`` / ``dma.fallback`` spans.
         """
-        policy = policy if policy is not None else DEFAULT_RETRY_POLICY
-        stats = self.ws.stats
-        rng = self._jitter_rng(policy)
-        root = self._begin_reliable_span("dma.reliable", size)
-        start = self.ws.sim.now
-        result = self.initiate(vsrc, vdst, size)
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                result = self.initiate(vsrc, vdst, size)
-            if result.ok:
-                self._end_reliable_span(
-                    root, "completed" if attempt == 1 else "retried",
-                    attempt)
-                return self._reliable_success(result, attempt, False, None,
-                                              start)
-            stats.counter("dma.retries").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-retry",
-                               attempt=attempt, via=self.via,
-                               pid=self.proc.pid)
-            if attempt < policy.max_attempts:
-                self._backoff(policy, attempt, rng)
-        stats.counter("dma.retry_exhausted").add()
-        if policy.kernel_fallback and self.via == "user":
-            result = self._fallback_initiate(vsrc, vdst, size)
-            stats.counter("dma.kernel_fallbacks").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-fallback",
-                               pid=self.proc.pid, ok=result.ok)
-            self._end_reliable_span(root, "fell-back",
-                                    policy.max_attempts + 1)
-            if result.ok:
-                return self._reliable_success(
-                    result, policy.max_attempts + 1, True, None, start)
-            return ReliableResult(result, policy.max_attempts + 1, True,
-                                  recovery_time=self.ws.sim.now - start)
-        self._end_reliable_span(root, "aborted", policy.max_attempts)
-        return ReliableResult(result, policy.max_attempts, False,
-                              recovery_time=self.ws.sim.now - start)
+        return self._reliable(vsrc, vdst, size, policy, wait=False)
 
     def dma_reliable(self, vsrc: int, vdst: int, size: int,
                      policy: Optional[RetryPolicy] = None) -> ReliableResult:
@@ -489,16 +453,25 @@ class DmaChannel:
         safe.  After user-level retry exhaustion the operation degrades
         to the kernel path.
         """
+        return self._reliable(vsrc, vdst, size, policy, wait=True)
+
+    def _reliable(self, vsrc: int, vdst: int, size: int,
+                  policy: Optional[RetryPolicy], wait: bool
+                  ) -> ReliableResult:
+        """The one retry loop behind both hardened entry points.
+
+        An attempt succeeds when its initiation is accepted or, with
+        *wait*, when its transfer completes within the policy's timeout.
+        """
         policy = policy if policy is not None else DEFAULT_RETRY_POLICY
         stats = self.ws.stats
         rng = self._jitter_rng(policy)
-        root = self._begin_reliable_span("dma.reliable", size)
+        root = self._begin_reliable_span(size)
         start = self.ws.sim.now
-        initiation: Optional[InitiationResult] = None
         for attempt in range(1, policy.max_attempts + 1):
             initiation, transfer = self._try_once(self, vsrc, vdst, size,
-                                                  policy)
-            if transfer is not None and transfer.completed:
+                                                  policy, wait)
+            if self._succeeded(initiation, transfer, wait):
                 self._end_reliable_span(
                     root, "completed" if attempt == 1 else "retried",
                     attempt)
@@ -507,49 +480,49 @@ class DmaChannel:
             if transfer is not None:
                 stats.counter("dma.completion_timeouts").add()
             stats.counter("dma.retries").add()
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-retry",
-                               attempt=attempt, via=self.via,
-                               pid=self.proc.pid,
-                               lost_completion=transfer is not None)
             if attempt < policy.max_attempts:
                 self._backoff(policy, attempt, rng)
         stats.counter("dma.retry_exhausted").add()
         if policy.kernel_fallback and self.via == "user":
-            stats.counter("dma.kernel_fallbacks").add()
             fb = None
             if self.ws.spans.enabled:
                 fb = self.ws.spans.begin("dma.fallback",
                                          track=f"proc{self.proc.pid}",
                                          pid=self.proc.pid)
             initiation, transfer = self._try_once(
-                self._kernel_channel(), vsrc, vdst, size, policy)
+                self._kernel_channel(), vsrc, vdst, size, policy, wait)
             if fb is not None:
                 self.ws.spans.end(fb, ok=initiation.ok)
-            self.ws.trace.emit(self.ws.sim.now, "api", "dma-fallback",
-                               pid=self.proc.pid, ok=initiation.ok)
-            self._end_reliable_span(root, "fell-back",
-                                    policy.max_attempts + 1)
-            if transfer is not None and transfer.completed:
-                return self._reliable_success(
-                    initiation, policy.max_attempts + 1, True, transfer,
-                    start)
-            return ReliableResult(initiation, policy.max_attempts + 1, True,
+            stats.counter("dma.kernel_fallbacks").add()
+            attempts = policy.max_attempts + 1
+            self._end_reliable_span(root, "fell-back", attempts)
+            if self._succeeded(initiation, transfer, wait):
+                return self._reliable_success(initiation, attempts, True,
+                                              transfer, start)
+            return ReliableResult(initiation, attempts, True,
                                   transfer=transfer,
                                   recovery_time=self.ws.sim.now - start)
-        assert initiation is not None
         self._end_reliable_span(root, "aborted", policy.max_attempts)
         return ReliableResult(initiation, policy.max_attempts, False,
                               recovery_time=self.ws.sim.now - start)
 
     @staticmethod
+    def _succeeded(initiation: InitiationResult,
+                   transfer: Optional[Transfer], wait: bool) -> bool:
+        if wait:
+            return transfer is not None and transfer.completed
+        return initiation.ok
+
+    @staticmethod
     def _try_once(channel: "DmaChannel", vsrc: int, vdst: int, size: int,
-                  policy: RetryPolicy):
-        """One bounded attempt: initiate, then wait (with timeout)."""
+                  policy: RetryPolicy, wait: bool):
+        """One bounded attempt: initiate, then (with *wait*) wait for the
+        transfer until the policy's completion timeout."""
         ws = channel.ws
         history = ws.engine.transfer_engine.history
         before = len(history)
         initiation = channel.initiate(vsrc, vdst, size)
-        if not initiation.ok or len(history) <= before:
+        if not wait or not initiation.ok or len(history) <= before:
             return initiation, None
         transfer = history[-1]
         wsp = None
@@ -564,10 +537,11 @@ class DmaChannel:
 
     # -- span helpers for the hardened paths --------------------------------
 
-    def _begin_reliable_span(self, name: str, size: int):
+    def _begin_reliable_span(self, size: int):
         if not self.ws.spans.enabled:
             return None
-        return self.ws.spans.begin(name, track=f"proc{self.proc.pid}",
+        return self.ws.spans.begin("dma.reliable",
+                                   track=f"proc{self.proc.pid}",
                                    method=self.method.name,
                                    pid=self.proc.pid, via=self.via,
                                    size=size)
@@ -589,18 +563,6 @@ class DmaChannel:
             self.ws.spans.end(sp)
         else:
             self.ws.sim.advance(delay)
-
-    def _fallback_initiate(self, vsrc: int, vdst: int,
-                           size: int) -> InitiationResult:
-        """The kernel-path escape hatch, wrapped in a fallback span."""
-        if not self.ws.spans.enabled:
-            return self._kernel_channel().initiate(vsrc, vdst, size)
-        fb = self.ws.spans.begin("dma.fallback",
-                                 track=f"proc{self.proc.pid}",
-                                 pid=self.proc.pid)
-        result = self._kernel_channel().initiate(vsrc, vdst, size)
-        self.ws.spans.end(fb, ok=result.ok)
-        return result
 
     def _reliable_success(self, initiation: InitiationResult, attempts: int,
                           fell_back: bool, transfer: Optional[Transfer],

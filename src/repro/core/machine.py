@@ -42,7 +42,6 @@ from ..os.scheduler import Scheduler, SchedulingPolicy
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from ..units import Time, mib
 from .methods import get_method, make_protocol
 from .timing import ALPHA3000_TURBOCHANNEL, MachineTiming
@@ -68,7 +67,6 @@ class MachineConfig:
         node_id: this workstation's id in the cluster address map.
         atomic_mode: build an atomic unit in this mode ("keyed" /
             "extshadow"), or None for no atomic unit.
-        trace_enabled: record a structured trace.
         data_cache: model a direct-mapped write-through data cache for
             cached RAM accesses (off by default — the calibrated flat
             RAM cost reproduces Table 1; see repro.hw.cache).
@@ -76,9 +74,11 @@ class MachineConfig:
             rejecting user-level transfers that cross a page boundary
             (see :class:`repro.hw.dma.engine.DmaEngine`); fault-tolerant
             configurations enable this.
-        spans_enabled: record causal spans across the DMA stack (see
-            repro.obs.spans); off by default — disabled tracing costs a
-            single branch on each hot path.
+        spans_enabled: record every machine event as a causal span —
+            DMA accesses and transfers, CPU faults, context switches,
+            atomic operations, injected faults (see repro.obs.spans);
+            off by default — disabled tracing costs a single branch on
+            each hot path.
         metrics_interval: simulated-time cadence for the metrics sampler
             (see repro.obs.metrics), or None to disable sampling.
     """
@@ -92,7 +92,6 @@ class MachineConfig:
     write_buffer_collapsing: bool = True
     node_id: int = 0
     atomic_mode: Optional[str] = None
-    trace_enabled: bool = False
     data_cache: bool = False
     page_bounded: bool = False
     spans_enabled: bool = False
@@ -111,12 +110,12 @@ class Workstation:
         timing = cfg.timing
 
         self.sim = sim if sim is not None else Simulator()
-        self.trace = TraceLog(enabled=cfg.trace_enabled, max_events=100_000)
         #: Machine-level counters and latencies (retry/fallback activity
         #: of the reliable DMA paths lands here; see repro.core.api).
         self.stats = StatRegistry("ws")
-        #: Causal span tracer shared by the API layer, the engine, and
-        #: the transfer engine (one tracer → one coherent span tree).
+        #: Causal span tracer shared by the API layer, the engine, the
+        #: transfer engine, the CPU, the scheduler, and the atomic unit —
+        #: the machine's one event recorder (one coherent span tree).
         self.spans = SpanTracer(clock=self.sim.time_source(),
                                 enabled=cfg.spans_enabled,
                                 max_spans=200_000)
@@ -139,8 +138,8 @@ class Workstation:
             self.sim, self.ram, protocol, node_id=cfg.node_id,
             fabric=fabric, addr_map=GlobalAddressMap(), layout=layout,
             bandwidth_bps=timing.dma_bandwidth_bps,
-            startup=timing.dma_startup, trace=self.trace,
-            page_bounded=cfg.page_bounded, spans=self.spans)
+            startup=timing.dma_startup, page_bounded=cfg.page_bounded,
+            spans=self.spans)
         self.bus.attach(self.nic, layout.window_base, layout.window_size)
 
         self.atomic_unit: Optional[AtomicUnit] = None
@@ -149,7 +148,7 @@ class Workstation:
             self.atomic_unit = AtomicUnit(
                 self.sim, self.ram, layout=alayout, mode=cfg.atomic_mode,
                 node_id=cfg.node_id, fabric=fabric,
-                addr_map=self.nic.addr_map, trace=self.trace)
+                addr_map=self.nic.addr_map, spans=self.spans)
             self.bus.attach(self.atomic_unit, alayout.window_base,
                             alayout.window_size)
 
@@ -169,7 +168,7 @@ class Workstation:
             self.nic.coherence_hook = self.data_cache.invalidate_range
         self.cpu = Cpu(self.sim, self.cpu_clock, self.mmu, self.bus,
                        self.write_buffer, timing.cpu_costs,
-                       trace=self.trace, cache=self.data_cache)
+                       spans=self.spans, cache=self.data_cache)
 
         from ..os.vm import VirtualMemoryManager
 
@@ -225,7 +224,7 @@ class Workstation:
         paper's methods exist to avoid.
         """
         scheduler = Scheduler(self.sim, self.cpu, self.os_costs, policy,
-                              trace=self.trace)
+                              spans=self.spans)
         if with_required_hooks and self.method.kernel_hook is not None:
             if self.method.kernel_hook == "shrimp_abort":
                 scheduler.install_hook(self.kernel.shrimp_abort_hook())

@@ -79,10 +79,6 @@ class DeviceError(ReproError):
     """A device was driven in a way its register interface forbids."""
 
 
-class DmaConfigError(DeviceError):
-    """The DMA engine was built with inconsistent parameters."""
-
-
 class KernelError(ReproError):
     """A syscall was invoked with arguments the kernel must reject."""
 

@@ -15,9 +15,9 @@ three attachment points, all reversible:
   delayed, duplicated, reordered, or payload-corrupted.
 
 Everything injected is counted in a :class:`StatRegistry` (one counter
-per ``target.kind``) and emitted to the machine's :class:`TraceLog` as
-``faults/...`` events, so experiments can correlate observed retries
-with the faults that caused them.
+per ``target.kind``) and, when the machine's span tracer is enabled,
+recorded as an instant ``fault.<target>.<kind>`` span, so experiments
+can correlate observed retries with the faults that caused them.
 
 The injector mutates only *instance* attributes (bound-method shadowing
 on the bus and fabric, a hook slot on the transfer engine), so
@@ -36,7 +36,6 @@ from ..hw.dma.transfer import DmaTransferEngine, Transfer
 from ..obs.spans import SpanTracer
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from ..units import Time
 from .plan import BITFLIP, DELAY, DROP, DUPLICATE, REORDER, FaultPlan
 
@@ -50,20 +49,19 @@ class Injector:
         sim: the event engine (needed to schedule delayed deliveries).
         stats: counter registry; a fresh ``StatRegistry("faults")`` by
             default.
-        trace: optional trace log for ``faults/...`` events.
         spans: optional span tracer; each injected fault becomes an
             instant ``fault.<target>.<kind>`` span on the ``faults``
-            track (taken from the workstation by :meth:`attach`).
+            track (taken from the workstation by :meth:`attach`).  Under
+            an activated trace context the span carries the victim
+            request's ``trace_id``.
     """
 
     def __init__(self, plan: FaultPlan, sim: Simulator,
                  stats: Optional[StatRegistry] = None,
-                 trace: Optional[TraceLog] = None,
                  spans: Optional[SpanTracer] = None) -> None:
         self.plan = plan
         self.sim = sim
         self.stats = stats if stats is not None else StatRegistry("faults")
-        self.trace = trace
         self.spans = spans
         self._undo: List[Callable[[], None]] = []
         self._held_store: Optional[Tuple[Bus, int, int, AccessContext]] = None
@@ -80,8 +78,6 @@ class Injector:
         fabric = getattr(ws.nic, "fabric", None)
         if fabric is not None:
             self.attach_fabric(fabric)
-        if self.trace is None:
-            self.trace = ws.trace
         if self.spans is None:
             self.spans = getattr(ws, "spans", None)
         return self
@@ -296,16 +292,6 @@ class Injector:
 
     def _count(self, target: str, kind: str, **detail: Any) -> None:
         self.stats.counter(f"{target}.{kind}").add()
-        # Attribute the fault to the request being executed, if the
-        # span tracer has an active trace context (service data path).
-        context = getattr(self.spans, "context", None) \
-            if self.spans is not None else None
-        if context is not None:
-            detail.setdefault("trace_id", context.trace_id)
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, "faults", f"{target}-{kind}",
-                            **detail)
-        if self.spans is not None and self.spans.enabled:
-            sp = self.spans.begin(f"fault.{target}.{kind}", track="faults",
-                                  **detail)
-            self.spans.end(sp)
+        if self.spans is not None:
+            self.spans.instant(f"fault.{target}.{kind}", track="faults",
+                               **detail)

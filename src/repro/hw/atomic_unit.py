@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError, DeviceError
+from ..obs.spans import SpanTracer
 from ..sim.engine import Simulator
-from ..sim.trace import TraceLog
 from ..units import Time
 from .device import AccessContext, MmioDevice
 from .dma.protocols.keyed import unpack_key_word
@@ -195,7 +195,8 @@ class AtomicUnit(MmioDevice):
         layout: window geometry.
         mode: which user-level initiation flavour the unit is wired for —
             "keyed" or "extshadow" (the kernel control path always works).
-        trace: optional shared trace log.
+        spans: optional shared span tracer; each executed operation
+            becomes an instant ``atomic.op`` span on the unit's track.
     """
 
     def __init__(self, sim: Simulator, ram: PhysicalMemory,
@@ -205,7 +206,7 @@ class AtomicUnit(MmioDevice):
                  fabric=None,
                  addr_map=None,
                  remote_rtt: Time = 0,
-                 trace: Optional[TraceLog] = None,
+                 spans: Optional[SpanTracer] = None,
                  name: str = "atomic") -> None:
         super().__init__(name)
         if mode not in ("keyed", "extshadow"):
@@ -220,7 +221,8 @@ class AtomicUnit(MmioDevice):
         #: Round-trip network time charged per remote operation; the
         #: cluster sets it from its link spec.
         self.remote_rtt = remote_rtt
-        self.trace = trace if trace is not None else TraceLog()
+        self.spans = spans if spans is not None else SpanTracer(
+            sim.time_source())
         self.contexts = [AtomicContext(i)
                          for i in range(self.layout.n_contexts)]
         self.key_table: Dict[int, int] = {}
@@ -408,9 +410,11 @@ class AtomicUnit(MmioDevice):
         self.operations.append(AtomicRecord(
             when=self.sim.now, op=op, target=target, operand=operand,
             operand2=operand2, result=old, issuer=issuer, via=via))
-        self.trace.emit(self.sim.now, self.name, "atomic",
-                        op=_OP_NAMES.get(op, str(op)), target=target,
-                        old=old, via=via, issuer=issuer, remote=remote)
+        if self.spans.enabled:
+            self.spans.instant("atomic.op", track=self.name,
+                               op=_OP_NAMES.get(op, str(op)), target=target,
+                               old=old, via=via, issuer=issuer,
+                               remote=remote)
         return old
 
     def _resolve_target(self, target: int):

@@ -29,10 +29,10 @@ from enum import Enum, auto
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
+from ..obs.spans import SpanTracer
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from ..units import Time
 from .bus import Bus
 from .device import AccessContext
@@ -134,13 +134,6 @@ class Thread:
             return
         self.registers[name] = value & WORD_MASK
 
-    def set_args(self, *values: int) -> None:
-        """Load *values* into the argument registers a0, a1, ..."""
-        if len(values) > 6:
-            raise ConfigError(f"too many syscall/PAL args: {len(values)}")
-        for index, value in enumerate(values):
-            self.set_reg(f"a{index}", value)
-
     @property
     def done(self) -> bool:
         """Whether the thread can no longer run."""
@@ -165,13 +158,14 @@ class Cpu:
         bus: the I/O bus (also reaches RAM).
         write_buffer: the posted-store buffer.
         costs: per-instruction cycle costs.
-        trace: optional shared trace log.
-        name: component name for stats/traces.
+        spans: optional shared span tracer; each fault becomes an
+            instant ``cpu.fault`` span on the CPU's track.
+        name: component name for stats and span tracks.
     """
 
     def __init__(self, sim: Simulator, clock: Clock, mmu: Mmu, bus: Bus,
                  write_buffer: WriteBuffer, costs: CpuCosts,
-                 trace: Optional[TraceLog] = None, name: str = "cpu0",
+                 spans: Optional[SpanTracer] = None, name: str = "cpu0",
                  cache=None) -> None:
         self.sim = sim
         self.clock = clock
@@ -179,7 +173,8 @@ class Cpu:
         self.bus = bus
         self.write_buffer = write_buffer
         self.costs = costs
-        self.trace = trace if trace is not None else TraceLog()
+        self.spans = spans if spans is not None else SpanTracer(
+            sim.time_source())
         self.name = name
         #: Optional data cache (repro.hw.cache.DataCache); when present,
         #: cached RAM accesses pay its hit/miss cycles instead of the
@@ -256,9 +251,9 @@ class Cpu:
                 pc=thread.pc,
             )
             self.stats.counter("faults").add()
-            self.trace.emit(self.sim.now, self.name, "fault",
-                            pid=thread.pid, pc=thread.pc,
-                            fault=thread.fault.kind, vaddr=exc.vaddr)
+            self.spans.instant("cpu.fault", track=self.name,
+                               pid=thread.pid, pc=thread.pc,
+                               fault=thread.fault.kind, vaddr=exc.vaddr)
             return StepStatus.FAULTED
         finally:
             self._current_thread = None
@@ -507,11 +502,6 @@ class Cpu:
         self._advance_cycles(self.costs.syscall_exit_cycles)
 
     # -- helpers ---------------------------------------------------------------------------
-
-    @property
-    def in_kernel(self) -> bool:
-        """Whether a syscall handler is currently executing."""
-        return self._in_kernel
 
     def _access_ctx(self, thread: Thread) -> AccessContext:
         return AccessContext(issuer=thread.pid, kernel=self._in_kernel,

@@ -30,7 +30,6 @@ from ...errors import ConfigError, DeviceError
 from ...obs.spans import Span, SpanTracer
 from ...sim.engine import Simulator
 from ...sim.journal import UndoJournal
-from ...sim.trace import TraceLog
 from ...units import Time, mbps, ns
 from ..device import AccessContext, MmioDevice
 from ..memory import PhysicalMemory
@@ -86,7 +85,6 @@ class DmaEngine(MmioDevice):
         layout: window geometry.
         bandwidth_bps: data-mover bandwidth.
         startup: fixed per-transfer latency.
-        trace: optional shared trace log.
         page_bounded: harden user-level initiations against corrupted
             size words — reject any start whose source or destination
             range crosses a page boundary, unless it came through the
@@ -105,7 +103,6 @@ class DmaEngine(MmioDevice):
                  layout: Optional[ShadowLayout] = None,
                  bandwidth_bps: float = mbps(400.0),
                  startup: Time = ns(200),
-                 trace: Optional[TraceLog] = None,
                  page_bounded: bool = False,
                  spans: Optional[SpanTracer] = None,
                  name: str = "dma") -> None:
@@ -117,7 +114,6 @@ class DmaEngine(MmioDevice):
             raise ConfigError(
                 "RAM does not fit in the shadow argument field; "
                 "enlarge ctx_shift or shrink RAM")
-        self.trace = trace if trace is not None else TraceLog()
         #: Causal span tracer (disabled by default; one branch per access).
         self.spans = spans if spans is not None else SpanTracer(
             sim.time_source())
@@ -185,8 +181,6 @@ class DmaEngine(MmioDevice):
         journal.record_call(self._restore_scalar_state, self._scalar_state())
         journal.record_call(self._restore_contexts,
                             tuple(c.snapshot() for c in self.contexts))
-        if self.trace.enabled or len(self.trace):
-            journal.record_call(self.trace.restore, self.trace.snapshot())
         span_state = self.spans.snapshot()
         if span_state is not None:
             journal.record_call(self.spans.restore, span_state)
@@ -244,10 +238,6 @@ class DmaEngine(MmioDevice):
         if shadow is not None:
             access = self._shadow_access("store", shadow.ctx_id,
                                          shadow.paddr, value, ctx)
-            if self.trace.enabled:
-                self.trace.emit(ctx.when, self.name, "shadow-store",
-                                ctx_id=access.ctx_id, paddr=access.paddr,
-                                data=value, issuer=ctx.issuer)
             if self.spans.enabled:
                 sp = self._access_span("dma.shadow_store", ctx,
                                        ctx_id=access.ctx_id,
@@ -260,10 +250,6 @@ class DmaEngine(MmioDevice):
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
             access = self._shadow_access("store", ctx_index, 0, value, ctx)
-            if self.trace.enabled:
-                self.trace.emit(ctx.when, self.name, "context-store",
-                                ctx_id=ctx_index, data=value,
-                                issuer=ctx.issuer)
             if self.spans.enabled:
                 sp = self._access_span("dma.context_store", ctx,
                                        ctx_id=ctx_index, data=value)
@@ -301,10 +287,6 @@ class DmaEngine(MmioDevice):
                                status=status)
             else:
                 status = self.protocol.on_shadow_load(access)
-            if self.trace.enabled:
-                self.trace.emit(ctx.when, self.name, "shadow-load",
-                                ctx_id=access.ctx_id, paddr=access.paddr,
-                                status=status, issuer=ctx.issuer)
             return status
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
@@ -319,10 +301,6 @@ class DmaEngine(MmioDevice):
             else:
                 status = self.protocol.on_context_load(
                     self.contexts[ctx_index], offset & PAGE_MASK, access)
-            if self.trace.enabled:
-                self.trace.emit(ctx.when, self.name, "context-load",
-                                ctx_id=ctx_index, status=status,
-                                issuer=ctx.issuer)
             return status
         page = offset >> PAGE_SHIFT
         reg = offset & PAGE_MASK
@@ -352,10 +330,6 @@ class DmaEngine(MmioDevice):
                            status=status)
         else:
             status = self.protocol.on_shadow_exchange(access)
-        if self.trace.enabled:
-            self.trace.emit(ctx.when, self.name, "shadow-exchange",
-                            ctx_id=access.ctx_id, paddr=access.paddr,
-                            data=value, status=status, issuer=ctx.issuer)
         return status
 
     def _access_span(self, name: str, ctx: AccessContext,
@@ -408,16 +382,9 @@ class DmaEngine(MmioDevice):
         if not ok:
             if ctx is not None:
                 ctx.failed = True
-            if self.trace.enabled:
-                self.trace.emit(self.sim.now, self.name, "start-rejected",
-                                psrc=psrc, pdst=pdst, size=size,
-                                via=via_name)
-            if self.spans.enabled:
-                # Instant span: begin and end at the same timestamp.
-                sp = self.spans.begin("dma.rejected", track="engine",
-                                      psrc=psrc, pdst=pdst, size=size,
-                                      via=via_name)
-                self.spans.end(sp, outcome="rejected")
+            self.spans.instant("dma.rejected", track="engine",
+                               psrc=psrc, pdst=pdst, size=size,
+                               via=via_name, outcome="rejected")
             return STATUS_FAILURE
         self.transfer_engine.last_via = via_name
         transfer = self.transfer_engine.start(psrc, pdst, size)
@@ -425,10 +392,6 @@ class DmaEngine(MmioDevice):
             ctx.transfer = transfer
             ctx.failed = False
             ctx.initiations += 1
-        if self.trace.enabled:
-            self.trace.emit(self.sim.now, self.name, "start",
-                            psrc=psrc, pdst=pdst, size=size, via=via_name,
-                            issuer=issuer)
         return transfer.remaining(self.sim.now)
 
     def started_transfers(self) -> List[InitiationRecord]:

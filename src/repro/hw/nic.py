@@ -18,7 +18,6 @@ from typing import Optional, Protocol
 from ..errors import AddressError, ConfigError, NetworkError
 from ..obs.spans import SpanTracer
 from ..sim.engine import Simulator
-from ..sim.trace import TraceLog
 from ..units import Time, mbps, ns
 from .dma.engine import DmaEngine
 from .dma.recognizer import InitiationProtocol
@@ -104,7 +103,6 @@ class NetworkInterface(DmaEngine):
                  layout: Optional[ShadowLayout] = None,
                  bandwidth_bps: float = mbps(400.0),
                  startup: Time = ns(200),
-                 trace: Optional[TraceLog] = None,
                  page_bounded: bool = False,
                  spans: Optional[SpanTracer] = None,
                  name: str = "nic") -> None:
@@ -118,8 +116,7 @@ class NetworkInterface(DmaEngine):
         self.remote_sends = 0
         super().__init__(sim, ram, protocol, layout=layout,
                          bandwidth_bps=bandwidth_bps, startup=startup,
-                         trace=trace, page_bounded=page_bounded,
-                         spans=spans, name=name)
+                         page_bounded=page_bounded, spans=spans, name=name)
 
     # -- DmaEngine overrides -----------------------------------------------------
 

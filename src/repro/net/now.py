@@ -39,8 +39,7 @@ class Cluster:
                 seed=base.seed + node_id,
                 relaxed_write_buffer=base.relaxed_write_buffer,
                 write_buffer_collapsing=base.write_buffer_collapsing,
-                node_id=node_id, atomic_mode=base.atomic_mode,
-                trace_enabled=base.trace_enabled)
+                node_id=node_id, atomic_mode=base.atomic_mode)
             self.nodes.append(Workstation(node_config, fabric=self,
                                           sim=self.sim))
         self._links: Dict[Tuple[int, int], Link] = {}

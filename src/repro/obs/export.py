@@ -4,10 +4,11 @@ Three ways out of the observability layer:
 
 * :func:`chrome_trace` — the Chrome trace-event format (JSON object
   format with a ``traceEvents`` array), loadable in Perfetto and
-  ``chrome://tracing``.  Spans become ``X`` (complete) events, trace-log
-  records become ``i`` (instant) events, metric samples become ``C``
-  (counter) events, and every distinct track gets its own named thread
-  via ``M`` (metadata) events — one lane per CPU / process / engine.
+  ``chrome://tracing``.  Spans become ``X`` (complete) events — point
+  events such as faults, rejections, context switches and atomics are
+  zero-duration spans — metric samples become ``C`` (counter) events,
+  and every distinct track gets its own named thread via ``M``
+  (metadata) events — one lane per CPU / process / engine.
 * :func:`spans_jsonl` — one JSON object per span, machine-greppable.
 * :func:`span_summary_table` — a terminal table of span durations by
   (protocol, outcome) with p50/p95/p99 percentiles.
@@ -23,8 +24,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from ..errors import ObservabilityError
-from ..sim.stats import LatencyStat
-from ..sim.trace import TraceEvent
+from ..sim.stats import percentile
 from ..units import to_us
 from .metrics import MetricsSampler
 from .spans import Span
@@ -43,7 +43,6 @@ def _track_ids(tracks: Iterable[str]) -> Dict[str, int]:
 
 
 def chrome_trace(spans: Sequence[Span],
-                 events: Optional[Iterable[TraceEvent]] = None,
                  metrics: Optional[MetricsSampler] = None,
                  process_name: str = "repro",
                  pid: int = 1) -> Dict[str, Any]:
@@ -52,17 +51,11 @@ def chrome_trace(spans: Sequence[Span],
     Args:
         spans: finished (and possibly still-open) spans; open spans are
             exported with zero duration and ``"open": true`` in args.
-        events: optional :class:`TraceEvent` records -> instant events,
-            one track per event source, sorted by (when, seq).
         metrics: optional sampler whose series become counter events.
         process_name: name of the single exported process.
         pid: process id used for every event.
     """
-    event_list = sorted(events, key=lambda e: (e.when, e.seq)) \
-        if events is not None else []
-    tracks = [span.track for span in spans]
-    tracks += [f"trace:{event.source}" for event in event_list]
-    tids = _track_ids(tracks)
+    tids = _track_ids(span.track for span in spans)
 
     out: List[Dict[str, Any]] = [{
         "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
@@ -88,17 +81,6 @@ def chrome_trace(spans: Sequence[Span],
             "pid": pid,
             "tid": tids[span.track],
             "args": args,
-        })
-
-    for event in event_list:
-        out.append({
-            "ph": "i",
-            "s": "t",
-            "name": f"{event.source}/{event.kind}",
-            "ts": to_us(event.when),
-            "pid": pid,
-            "tid": tids[f"trace:{event.source}"],
-            "args": {"seq": event.seq, **event.detail},
         })
 
     if metrics is not None:
@@ -171,13 +153,12 @@ def ensure_valid_chrome_trace(trace: Any) -> None:
 
 
 def write_chrome_trace(path: Any, spans: Sequence[Span],
-                       events: Optional[Iterable[TraceEvent]] = None,
                        metrics: Optional[MetricsSampler] = None,
                        **kwargs: Any) -> Dict[str, Any]:
     """Build, validate, and write a Chrome trace; returns the object."""
     from .writer import write_json
 
-    trace = chrome_trace(spans, events=events, metrics=metrics, **kwargs)
+    trace = chrome_trace(spans, metrics=metrics, **kwargs)
     ensure_valid_chrome_trace(trace)
     write_json(path, trace)
     return trace
@@ -222,24 +203,19 @@ def span_summary_table(spans: Sequence[Span],
     """
     from ..analysis.report import Table
 
-    groups: Dict[Tuple[str, str], LatencyStat] = {}
+    groups: Dict[Tuple[str, str], List[int]] = {}
     for span in spans:
         if not span.closed:
             continue
         if name is not None and span.name != name:
             continue
-        key = _group_key(span)
-        stat = groups.get(key)
-        if stat is None:
-            stat = groups[key] = LatencyStat(
-                f"{key[0]}/{key[1]}", keep_samples=True)
-        stat.record(span.duration)
+        groups.setdefault(_group_key(span), []).append(span.duration)
     table = Table("Span durations by (protocol, outcome)",
                   ["protocol", "outcome", "count", "mean (us)"]
                   + [f"p{p:g} (us)" for p in percentiles])
-    for (protocol, outcome), stat in sorted(groups.items()):
-        table.add_row(protocol, outcome, stat.count,
-                      f"{stat.mean_us:.3f}",
-                      *(f"{to_us(stat.percentile(p)):.3f}"
+    for (protocol, outcome), durations in sorted(groups.items()):
+        table.add_row(protocol, outcome, len(durations),
+                      f"{to_us(sum(durations) / len(durations)):.3f}",
+                      *(f"{to_us(percentile(durations, p)):.3f}"
                         for p in percentiles))
     return table

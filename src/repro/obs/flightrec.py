@@ -3,10 +3,11 @@
 Every :class:`~repro.service.shard.ServiceShard` carries one
 :class:`FlightRecorder`.  It is *always on* and always bounded: a ring
 of recent completion summaries lives here, while the shard's own
-bounded collectors — the span tracer's finished list, the trace log's
-deque, the metrics sampler — serve as the span/event/sample rings (the
-recorder reads their tails at dump time rather than copying per
-request, so steady-state cost is one ring append per completion).
+bounded collectors — the span tracer's finished list (point events such
+as injected faults included, as zero-duration spans) and the metrics
+sampler — serve as the span/sample rings (the recorder reads their
+tails at dump time rather than copying per request, so steady-state
+cost is one ring append per completion).
 
 When something goes wrong — a ``wrong-data`` completion, a wrong-page
 sweep hit, an UNSAFE soak verdict, an SLO breach — :meth:`bundle`
@@ -39,18 +40,16 @@ class FlightRecorder:
         process: name stamped on bundles (e.g. ``"shard2"``).
         capacity: completion summaries retained.
         span_window: spans exported per bundle (the last N finished).
-        event_window: trace-log records exported per bundle.
         sample_window: metric samples exported per bundle.
         max_bundles: bundles retained (oldest dropped) — incidents can
             cascade, memory must not.
     """
 
     def __init__(self, process: str, capacity: int = 256,
-                 span_window: int = 400, event_window: int = 400,
-                 sample_window: int = 64, max_bundles: int = 8) -> None:
+                 span_window: int = 400, sample_window: int = 64,
+                 max_bundles: int = 8) -> None:
         self.process = process
         self.span_window = span_window
-        self.event_window = event_window
         self.sample_window = sample_window
         self.max_bundles = max_bundles
         self.completions: Deque[Dict[str, Any]] = deque(maxlen=capacity)
@@ -90,7 +89,7 @@ class FlightRecorder:
 
         Args:
             reason: one of the ``REASON_*`` trigger constants.
-            ws: the shard's workstation (span/trace/metrics rings).
+            ws: the shard's workstation (span and metrics rings).
             seed: the *service* seed — re-running the same config with
                 it reproduces this bundle exactly.
             tick: service tick at dump time.
@@ -100,10 +99,7 @@ class FlightRecorder:
             detail: free-form one-line context (e.g. the SLO breach).
         """
         spans = ws.spans.finished()[-self.span_window:]
-        events = list(ws.trace.events())[-self.event_window:] \
-            if ws.trace.enabled else []
-        trace = chrome_trace(spans, events=events,
-                             process_name=self.process, pid=1)
+        trace = chrome_trace(spans, process_name=self.process, pid=1)
         ensure_valid_chrome_trace(trace)
         samples = [{"when_ps": when, "values": dict(sample)}
                    for when, sample in

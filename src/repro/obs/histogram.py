@@ -16,9 +16,8 @@ recent tail trace id — :meth:`exemplars` returns them, so any tail
 sample in a dashboard links back to its full causal tree via
 :func:`~repro.obs.context.causal_tree`.
 
-**Interpolation convention.**  :meth:`percentile` mirrors
-:meth:`repro.sim.stats.LatencyStat.percentile` (and
-:func:`repro.analysis.trends.percentile`) exactly: the *q*-th
+**Interpolation convention.**  :meth:`percentile` mirrors the exact
+:func:`repro.sim.stats.percentile` over raw samples: the *q*-th
 percentile is the linear interpolation between the samples at ranks
 ``floor(r)`` and ``ceil(r)`` where ``r = (n - 1) * q / 100`` — each
 sample approximated by a bucket-uniform position estimate.
@@ -31,11 +30,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
-from ..sim.stats import LatencyStat
-from ..units import to_us
+from ..sim.stats import percentile
 
 
 class LatencyHistogram:
@@ -212,8 +210,7 @@ class LatencyHistogram:
         return self.total_us / self.count if self.count else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """The ``latency_us`` report block (same keys as
-        :func:`repro.analysis.trends.latency_summary`)."""
+        """The ``latency_us`` report block: p50/p95/p99, mean, max, n."""
         if self.count == 0:
             return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0,
                     "max": 0.0, "n": 0}
@@ -254,25 +251,25 @@ class LatencyHistogram:
     # consistency + serialization
     # ------------------------------------------------------------------
 
-    def verify_against_stat(self, stat: LatencyStat,
-                            qs: Tuple[float, ...] = (50.0, 95.0, 99.0)
-                            ) -> List[str]:
-        """Cross-check this histogram against a sample-retaining
-        :class:`LatencyStat` over the *same* data (stat in ps).
+    def verify_against_samples(self, samples_us: Sequence[float],
+                               qs: Tuple[float, ...] = (50.0, 95.0, 99.0)
+                               ) -> List[str]:
+        """Cross-check this histogram against the raw samples (in us)
+        it was fed.
 
         Both use the identical interpolation convention, so any
         disagreement beyond the histogram's per-quantile error bound
-        (plus the stat's 1 ps rounding) means the two aggregation paths
-        diverged — the property the telemetry-window tests assert for
-        every window.  Returns problem strings (empty = consistent).
+        (plus float slack) means the two aggregation paths diverged —
+        the property the telemetry-window tests assert for every
+        window.  Returns problem strings (empty = consistent).
         """
         problems: List[str] = []
-        if stat.count != self.count:
-            problems.append(f"sample counts differ: stat={stat.count} "
-                            f"histogram={self.count}")
+        if len(samples_us) != self.count:
+            problems.append(f"sample counts differ: samples="
+                            f"{len(samples_us)} histogram={self.count}")
             return problems
         for q in qs:
-            exact_us = to_us(stat.percentile(q))
+            exact_us = percentile(samples_us, q)
             approx_us = self.percentile(q)
             bound = self.percentile_error_bound(q) + 1e-5
             if abs(approx_us - exact_us) > bound:

@@ -40,8 +40,8 @@ class TracedRun:
     """Everything a traced adversary run produced.
 
     Attributes:
-        ws: the workstation (its ``spans``, ``metrics``, and ``trace``
-            hold the observability data).
+        ws: the workstation (its ``spans`` and ``metrics`` hold the
+            observability data).
         completed: ordinary victim DMA results.
         aborted: the rejected oversized initiation.
         retried: the hardened result that recovered via retry.
@@ -93,7 +93,7 @@ def traced_adversary_run(n_dmas: int = 6, method: str = "repeated5",
         metrics_interval: simulated sampling cadence.
     """
     ws = Workstation(MachineConfig(method=method, seed=seed,
-                                   spans_enabled=True, trace_enabled=True,
+                                   spans_enabled=True,
                                    metrics_interval=metrics_interval))
     victim = ws.kernel.spawn("victim")
     ws.kernel.enable_user_dma(victim)

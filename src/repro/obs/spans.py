@@ -19,6 +19,10 @@ progress:
   joins the stack, so it can end at any later simulated time without
   breaking the synchronous nesting.
 
+Point events (an injected fault, a rejected start, a context switch)
+are :meth:`SpanTracer.instant` spans that begin and end at one
+timestamp, so one tracer is the machine's only event recorder.
+
 Cost when disabled: :meth:`begin` is one attribute test plus a constant
 return of :data:`NULL_SPAN`; hot call sites additionally guard with
 ``if tracer.enabled:`` so tracing compiles down to a single branch.
@@ -216,6 +220,13 @@ class SpanTracer:
         if self.max_spans is not None and len(self._finished) > self.max_spans:
             del self._finished[0]
             self.dropped += 1
+
+    def instant(self, name: str, track: str = "main", **attrs: Any) -> None:
+        """Record a point event: a span that begins and ends at the
+        current simulated time (a fault, a rejection, a context
+        switch)."""
+        if self.enabled:
+            self.end(self.begin(name, track=track, **attrs))
 
     @contextmanager
     def span(self, name: str, track: str = "main",

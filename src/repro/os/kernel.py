@@ -345,13 +345,6 @@ class Kernel:
                 page_base(self._globalize(psrc)),
                 page_base(self._globalize(pdst)))
 
-    def map_out_global(self, src_proc: Process, vsrc: int,
-                       global_pdst: int) -> None:
-        """Map out one source page to a global (possibly remote) address."""
-        psrc = src_proc.page_table.translate(vsrc, "read")
-        self.engine.install_mapout(page_base(self._globalize(psrc)),
-                                   page_base(global_pdst))
-
     # ------------------------------------------------------------------
     # modern-method kernel management (untimed setup paths)
     # ------------------------------------------------------------------

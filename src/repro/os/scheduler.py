@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 from ..hw.cpu import Cpu, StepStatus, Thread
+from ..obs.spans import SpanTracer
 from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
-from ..sim.trace import TraceLog
 from .costs import OsCosts
 from .kernel import SwitchHook
 from .process import Process
@@ -117,16 +117,21 @@ class ScriptedPolicy(SchedulingPolicy):
 
 
 class Scheduler:
-    """Runs threads preemptively on one CPU."""
+    """Runs threads preemptively on one CPU.
+
+    Each context switch is recorded as an instant ``sched.switch`` span
+    on *spans* (the workstation's tracer; disabled by default).
+    """
 
     def __init__(self, sim: Simulator, cpu: Cpu, costs: OsCosts,
                  policy: SchedulingPolicy,
-                 trace: Optional[TraceLog] = None) -> None:
+                 spans: Optional[SpanTracer] = None) -> None:
         self.sim = sim
         self.cpu = cpu
         self.costs = costs
         self.policy = policy
-        self.trace = trace if trace is not None else TraceLog()
+        self.spans = spans if spans is not None else SpanTracer(
+            sim.time_source())
         self.stats = StatRegistry("sched")
         self.hooks: List[SwitchHook] = []
         self._threads: List[Thread] = []
@@ -205,6 +210,6 @@ class Scheduler:
         old_proc = self._owner.get(id(old)) if old is not None else None
         for hook in self.hooks:
             hook(old_proc, new_proc)
-        self.trace.emit(self.sim.now, "sched", "switch",
-                        old=old_proc.pid if old_proc else None,
-                        new=new_proc.pid)
+        self.spans.instant("sched.switch", track="sched",
+                           old=old_proc.pid if old_proc else None,
+                           new=new_proc.pid)

@@ -452,39 +452,41 @@ async def handle_connection(service: DmaService,
                             writer: "asyncio.StreamWriter") -> None:
     """One client connection: a request object per line, completions out.
 
-    ``{"op": "stats"}`` returns the service snapshot instead.
+    ``{"op": "stats"}`` returns the service snapshot instead.  A line
+    that is not valid JSON, not a well-typed request, or names a shard
+    out of range gets an ``{"error": ...}`` reply, and the connection
+    stays open for the next line.
     """
     try:
         while True:
             line = await reader.readline()
             if not line:
                 break
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response: Dict[str, Any] = {"error": f"bad json: {exc}"}
-            else:
-                if isinstance(data, dict) and data.get("op") == "stats":
-                    response = service.snapshot()
-                else:
-                    try:
-                        request = Request.from_dict(data)
-                    except (ConfigError, TypeError) as exc:
-                        response = {"error": str(exc)}
-                    else:
-                        request = Request(
-                            tenant=request.tenant, kind=request.kind,
-                            size=request.size, hot=request.hot,
-                            shard=request.shard, tick=service.tick,
-                            req_id=service.next_req_id(),
-                            trace=request.trace)
-                        future = await service.submit(request)
-                        completion = await future
-                        response = completion.to_dict()
+            response = await _respond(service, line)
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
     finally:
         writer.close()
+
+
+async def _respond(service: DmaService, line: bytes) -> Dict[str, Any]:
+    """The reply to one request line."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return {"error": f"bad json: {exc}"}
+    if isinstance(data, dict) and data.get("op") == "stats":
+        return service.snapshot()
+    try:
+        request = Request.from_dict(data)
+        future = await service.submit(Request(
+            tenant=request.tenant, kind=request.kind, size=request.size,
+            hot=request.hot, shard=request.shard, tick=service.tick,
+            req_id=service.next_req_id(), trace=request.trace))
+    except ConfigError as exc:
+        return {"error": str(exc)}
+    completion = await future
+    return completion.to_dict()
 
 
 async def serve_forever(config: Optional[ServiceConfig] = None,

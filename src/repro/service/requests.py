@@ -9,9 +9,9 @@ the front end can speak JSON without a serialization layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ObservabilityError
 from ..obs.context import TraceContext
 
 #: Operation kinds a shard can execute.
@@ -27,6 +27,19 @@ OUTCOME_FELL_BACK = "fell-back"
 OUTCOME_ABORTED = "aborted"
 OUTCOME_WRONG_DATA = "wrong-data"
 OUTCOME_REJECTED = "rejected"
+
+#: Wire-format fields: the exact JSON types each accepts (so a JSON
+#: ``true`` is never an integer) and how an error message names them.
+_WIRE_FIELDS: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "tenant": ((str,), "a string"),
+    "kind": ((str,), "a string"),
+    "size": ((int,), "an integer"),
+    "hot": ((bool,), "a boolean"),
+    "shard": ((int, type(None)), "an integer or null"),
+    "tick": ((int,), "an integer"),
+    "req_id": ((int,), "an integer"),
+    "trace": ((dict,), "an object"),
+}
 
 
 @dataclass(frozen=True)
@@ -79,20 +92,30 @@ class Request:
 
     @classmethod
     def from_dict(cls, data: Any) -> "Request":
-        """Parse a request object (the ``repro serve`` wire format)."""
+        """Parse a request object (the ``repro serve`` wire format).
+
+        Raises:
+            ConfigError: for a non-object, a missing tenant, an unknown
+                or mistyped field, or a malformed trace context.
+        """
         if not isinstance(data, dict):
             raise ConfigError("a request must be a JSON object")
-        known = {"tenant", "kind", "size", "hot", "shard", "tick",
-                 "req_id", "trace"}
-        unknown = set(data) - known
+        unknown = data.keys() - _WIRE_FIELDS.keys()
         if unknown:
             raise ConfigError(f"unknown request field(s): {sorted(unknown)}")
         if "tenant" not in data:
             raise ConfigError("request needs a 'tenant'")
+        for name, value in data.items():
+            types, expected = _WIRE_FIELDS[name]
+            if type(value) not in types:
+                raise ConfigError(f"request field {name!r} must be "
+                                  f"{expected}, got {type(value).__name__}")
         kwargs = dict(data)
-        trace = kwargs.get("trace")
-        if isinstance(trace, dict):
-            kwargs["trace"] = TraceContext.from_dict(trace)
+        if "trace" in kwargs:
+            try:
+                kwargs["trace"] = TraceContext.from_dict(kwargs["trace"])
+            except (ObservabilityError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad trace context: {exc}") from exc
         return cls(**kwargs)
 
 

@@ -233,8 +233,7 @@ class ServiceShard:
 
     def attach_faults(self, plan: FaultPlan) -> None:
         """Attach a fault injector driving *plan* (reversible)."""
-        self._injector = Injector(plan, self.ws.sim,
-                                  trace=self.ws.trace).attach(self.ws)
+        self._injector = Injector(plan, self.ws.sim).attach(self.ws)
 
     def detach_faults(self) -> None:
         """Detach the injector, restoring clean operation."""

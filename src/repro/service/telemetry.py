@@ -24,10 +24,10 @@ Two export paths:
   (:func:`repro.analysis.trends.service_trend_report`) CI uploads and
   the nightly soak appends to its history artifact;
 * :meth:`fleet_chrome_trace` — the front end's spans plus every shard's
-  spans, trace events, and metric series merged into one Chrome/Perfetto
-  trace: the front end is process 1, shard *i* is process ``i + 2``, and
-  the merged stream is deterministically ordered with a stable global
-  ``(process, seq)`` tie-break so two same-seed runs export
+  spans and metric series merged into one Chrome/Perfetto trace: the
+  front end is process 1, shard *i* is process ``i + 2``, and the merged
+  stream is deterministically ordered with a stable global
+  ``(process, span id)`` tie-break so two same-seed runs export
   byte-identical traces.
 """
 
@@ -55,16 +55,15 @@ def _fleet_order(event: Dict[str, Any]) -> tuple:
     """Deterministic global ordering of merged trace events.
 
     Metadata first (grouped by process), then everything else by
-    timestamp with a stable ``(pid, tid, seq-or-span_id)`` tie-break —
-    per-process ``seq`` counters collide after a merge, so the process
-    id is part of the key.
+    timestamp with a stable ``(pid, tid, span_id)`` tie-break —
+    per-process span ids collide after a merge, so the process id is
+    part of the key.
     """
-    args = event.get("args") or {}
-    tie = args.get("seq", args.get("span_id", 0))
     if event.get("ph") == "M":
         return (0, 0.0, event["pid"], event.get("tid", 0), 0, event["name"])
+    args = event.get("args") or {}
     return (1, event.get("ts", 0.0), event["pid"], event.get("tid", 0),
-            tie if isinstance(tie, (int, float)) else 0, event["name"])
+            args.get("span_id", 0), event["name"])
 
 
 class FleetTelemetry:
@@ -130,7 +129,7 @@ class FleetTelemetry:
 
         Percentiles come from the window's histogram, within its
         per-quantile error bound of the exact values (checked by
-        :meth:`LatencyHistogram.verify_against_stat` in the property
+        :meth:`LatencyHistogram.verify_against_samples` in the property
         tests, not here).
 
         Args:
@@ -237,13 +236,11 @@ class FleetTelemetry:
         """Merge the fleet's observability into one Chrome trace.
 
         The front end's spans (admission, queue wait, request roots)
-        become process :data:`FLEET_FRONTEND_PID`; each shard's spans,
-        trace-log events, and metric series become process
-        ``shard.index + FLEET_SHARD_PID_BASE``.  The merged stream is
-        sorted with :func:`_fleet_order` — per-shard ``seq`` counters
-        collide after a merge, so ordering ties break on the stable
-        global ``(pid, tid, seq)`` key and every instant event also
-        carries a globally unique ``gseq`` in its args.
+        become process :data:`FLEET_FRONTEND_PID`; each shard's spans
+        (point events included, as zero-duration spans) and metric
+        series become process ``shard.index + FLEET_SHARD_PID_BASE``.
+        The merged stream is sorted with :func:`_fleet_order` — ordering
+        ties break on the stable global ``(pid, tid, span_id)`` key.
         """
         merged: List[Dict[str, Any]] = []
         if frontend_spans:
@@ -252,18 +249,12 @@ class FleetTelemetry:
                                  pid=FLEET_FRONTEND_PID)
             merged.extend(trace["traceEvents"])
         for shard in shards:
-            pid = shard.index + FLEET_SHARD_PID_BASE
-            events = (shard.ws.trace.events()
-                      if shard.ws.trace.enabled else None)
             trace = chrome_trace(
-                shard.ws.spans.finished(), events=events,
+                shard.ws.spans.finished(),
                 metrics=(shard.ws.metrics
                          if shard.ws.metrics.enabled else None),
-                process_name=f"shard{shard.index}", pid=pid)
-            for event in trace["traceEvents"]:
-                if event["ph"] == "i":
-                    event["args"]["gseq"] = (
-                        pid * 1_000_000 + event["args"]["seq"])
+                process_name=f"shard{shard.index}",
+                pid=shard.index + FLEET_SHARD_PID_BASE)
             merged.extend(trace["traceEvents"])
         merged.sort(key=_fleet_order)
         out = {"traceEvents": merged, "displayTimeUnit": "ns"}

@@ -1,16 +1,15 @@
 """Discrete-event simulation kernel.
 
 The simulator is deliberately small: an event queue ordered by integer
-picosecond timestamps, clock domains for cycle/time conversion, counters and
-latency statistics, and a structured trace log.  Hardware and OS models in
-:mod:`repro.hw` and :mod:`repro.os` are built on top of it.
+picosecond timestamps, clock domains for cycle/time conversion, and counters
+and latency statistics.  Hardware and OS models in :mod:`repro.hw` and
+:mod:`repro.os` are built on top of it.
 """
 
 from .clock import Clock
 from .engine import Event, Simulator
 from .rng import make_rng, make_secret_stream
 from .stats import Counter, LatencyStat, StatRegistry
-from .trace import TraceEvent, TraceLog
 
 __all__ = [
     "Clock",
@@ -19,8 +18,6 @@ __all__ = [
     "LatencyStat",
     "Simulator",
     "StatRegistry",
-    "TraceEvent",
-    "TraceLog",
     "make_rng",
     "make_secret_stream",
 ]

@@ -22,8 +22,8 @@ Two recording disciplines coexist, chosen per mutation site:
   component comparing its stamped epoch against the journal's knows
   whether the current blob is already safely captured.
 
-Entries are ``(kind, a, b, c)`` tuples dispatched by integer op code —
-cheaper to record and replay than closures.  Correctness relies only on
+Each entry is an ``(undo, arg)`` pair and replay calls ``undo(arg)`` —
+one uniform step, no per-entry dispatch.  Correctness relies only on
 replay happening newest-first, which makes redundant captures harmless.
 
 Components opt in through ``bind_journal(journal)`` and must keep
@@ -33,14 +33,7 @@ outside the checker, costing one branch per mutation site).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
-
-#: Op codes (module-level ints: fastest dispatch in the replay loop).
-OP_ATTR = 0      #: ``setattr(a, b, c)``
-OP_ITEM = 1      #: ``a[b] = c``
-OP_DELITEM = 2   #: ``del a[b]`` (ignore if missing)
-OP_POP = 3       #: ``a.pop()`` — undo of a list append
-OP_CALL = 4      #: ``a(b)`` — component-provided restore callable
+from typing import Any, Callable, List, Tuple
 
 
 class UndoJournal:
@@ -49,7 +42,7 @@ class UndoJournal:
     __slots__ = ("_ops", "epoch", "entries_recorded", "entries_replayed")
 
     def __init__(self) -> None:
-        self._ops: List[Tuple[int, Any, Any, Any]] = []
+        self._ops: List[Tuple[Callable[[Any], Any], Any]] = []
         #: Bumped on every mark and every undo; components stamp their
         #: per-epoch captures against it.
         self.epoch = 1
@@ -73,40 +66,18 @@ class UndoJournal:
         if count > 0:
             self.entries_replayed += count
             for _ in range(count):
-                kind, a, b, c = ops.pop()
-                if kind == OP_ATTR:
-                    setattr(a, b, c)
-                elif kind == OP_CALL:
-                    a(b)
-                elif kind == OP_ITEM:
-                    a[b] = c
-                elif kind == OP_DELITEM:
-                    a.pop(b, None)
-                else:  # OP_POP
-                    a.pop()
+                undo, arg = ops.pop()
+                undo(arg)
         self.epoch += 1
 
     # -- recording ------------------------------------------------------
 
-    def record_attr(self, obj: Any, name: str) -> None:
-        """Arrange for ``obj.<name>`` to be reset to its current value."""
-        self.entries_recorded += 1
-        self._ops.append((OP_ATTR, obj, name, getattr(obj, name)))
-
-    def record_item(self, mapping: Dict[Any, Any], key: Any) -> None:
-        """Arrange for ``mapping[key]`` to be restored (or re-deleted)."""
-        self.entries_recorded += 1
-        if key in mapping:
-            self._ops.append((OP_ITEM, mapping, key, mapping[key]))
-        else:
-            self._ops.append((OP_DELITEM, mapping, key, None))
-
     def record_append(self, lst: List[Any]) -> None:
         """Arrange for the append about to happen to be popped again."""
         self.entries_recorded += 1
-        self._ops.append((OP_POP, lst, None, None))
+        self._ops.append((list.pop, lst))
 
     def record_call(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Arrange for ``fn(arg)`` to run on undo (component restore)."""
         self.entries_recorded += 1
-        self._ops.append((OP_CALL, fn, arg, None))
+        self._ops.append((fn, arg))

@@ -2,15 +2,15 @@
 
 Every hardware and OS model exposes its activity through a
 :class:`StatRegistry` so experiments can report instruction counts, bus
-transactions, context switches, DMA initiations, and latency distributions
-without the models printing anything themselves.
+transactions, context switches, DMA initiations, and latency aggregates
+without the models printing anything themselves.  :func:`percentile` is
+the one exact-quantile function over a list of samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
 from ..units import Time, to_us
 
@@ -37,20 +37,19 @@ class Counter:
 
 
 class LatencyStat:
-    """Accumulates a latency distribution in integer picoseconds.
+    """Accumulates a latency aggregate in integer picoseconds.
 
-    Keeps count/sum/min/max plus the sum of squares for the standard
-    deviation, and optionally retains raw samples for percentile queries.
+    Keeps count/sum/min/max only.  Distributions live elsewhere: raw
+    samples go through :func:`percentile`, and bounded-memory ones
+    through :class:`repro.obs.histogram.LatencyHistogram`.
     """
 
-    def __init__(self, name: str, keep_samples: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total: Time = 0
         self.min: Optional[Time] = None
         self.max: Optional[Time] = None
-        self._sum_sq = 0
-        self._samples: Optional[List[Time]] = [] if keep_samples else None
 
     def record(self, latency: Time) -> None:
         """Record one latency sample."""
@@ -59,13 +58,10 @@ class LatencyStat:
                 f"latency stat {self.name!r}: negative sample {latency}")
         self.count += 1
         self.total += latency
-        self._sum_sq += latency * latency
         if self.min is None or latency < self.min:
             self.min = latency
         if self.max is None or latency > self.max:
             self.max = latency
-        if self._samples is not None:
-            self._samples.append(latency)
 
     @property
     def mean(self) -> float:
@@ -77,68 +73,41 @@ class LatencyStat:
         """Mean latency in microseconds."""
         return to_us(round(self.mean))
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation in picoseconds."""
-        if self.count == 0:
-            return 0.0
-        mean = self.mean
-        variance = self._sum_sq / self.count - mean * mean
-        return math.sqrt(max(0.0, variance))
-
-    @property
-    def has_samples(self) -> bool:
-        """Whether raw samples are retained and at least one exists."""
-        return bool(self._samples)
-
-    def percentile(self, p: float) -> Time:
-        """The *p*-th percentile (0..100) — always a defined value.
-
-        With retained samples the exact interpolated percentile is
-        returned.  Without them (``keep_samples=False``, or nothing
-        recorded yet) the query degrades instead of failing:
-
-        * no samples recorded at all -> 0;
-        * aggregates only -> a coarse estimate interpolated through the
-          running (min, mean, max): min..mean over p in [0, 50], then
-          mean..max over p in (50, 100].
-
-        Raises:
-            ValueError: only for *p* outside [0, 100].
-        """
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._samples:
-            if self.count == 0:
-                return 0
-            assert self.min is not None and self.max is not None
-            if p <= 50:
-                return round(self.min + (self.mean - self.min) * (p / 50))
-            return round(self.mean + (self.max - self.mean) * (p - 50) / 50)
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100) * (len(ordered) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return round(ordered[low] * (1 - frac) + ordered[high] * frac)
-
     def reset(self) -> None:
-        """Clear all recorded samples and aggregates."""
+        """Clear the aggregates."""
         self.count = 0
         self.total = 0
         self.min = None
         self.max = None
-        self._sum_sq = 0
-        if self._samples is not None:
-            self._samples.clear()
 
     def __repr__(self) -> str:
         return (f"LatencyStat({self.name!r}, n={self.count}, "
                 f"mean={self.mean_us:.3f}us)")
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The *q*-th percentile (0..100) of *values* by linear interpolation.
+
+    Exact: the interpolation runs between the samples at ranks
+    ``floor(r)`` and ``floor(r) + 1`` where ``r = (n - 1) * q / 100``.
+    Accepts unsorted input; an empty sequence maps to 0.0 so trend
+    windows with no completions stay representable.
+
+    Raises:
+        ValueError: for *q* outside [0, 100], samples or not.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = (len(ordered) - 1) * q / 100.0
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
 
 
 @dataclass
@@ -155,11 +124,10 @@ class StatRegistry:
             self.counters[name] = Counter(self._qualify(name))
         return self.counters[name]
 
-    def latency(self, name: str, keep_samples: bool = False) -> LatencyStat:
+    def latency(self, name: str) -> LatencyStat:
         """Get or create the latency stat *name*."""
         if name not in self.latencies:
-            self.latencies[name] = LatencyStat(
-                self._qualify(name), keep_samples=keep_samples)
+            self.latencies[name] = LatencyStat(self._qualify(name))
         return self.latencies[name]
 
     def reset(self) -> None:

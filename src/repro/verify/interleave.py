@@ -180,11 +180,12 @@ class ProtocolHarness:
         """Hashable capture of all behaviour-determining harness state.
 
         Returns None when the state cannot be captured cheaply and
-        soundly (RAM differs from its checking-start content, or tracing
-        is on — a merged subtree would skip its trace emissions), which
-        tells the transposition table to skip memoization for this node.
+        soundly (RAM differs from its checking-start content, or engine
+        spans are on — a merged subtree would skip its span records),
+        which tells the transposition table to skip memoization for
+        this node.
         """
-        if self.engine.trace.enabled:
+        if self.engine.spans.enabled:
             return None
         if self.ram.outstanding_page_saves:
             # RAM content differs from its bind-time state, which the

@@ -158,11 +158,6 @@ class HuntReport:
     props: Tuple[str, ...] = ()
     shrunk: Optional[ShrunkCounterexample] = None
 
-    @property
-    def safe_within_budget(self) -> bool:
-        """No counterexample surfaced before the budget ran out."""
-        return not self.found
-
     def summary(self) -> str:
         """One-line human-readable result."""
         if self.found:

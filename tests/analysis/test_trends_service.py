@@ -7,7 +7,6 @@ from repro.analysis.trends import (
     TrendHistory,
     compare_service_reports,
     jain_index,
-    latency_summary,
     percentile,
     service_trend_report,
 )
@@ -28,20 +27,6 @@ class TestPercentile:
 
     def test_order_independent(self):
         assert percentile([3.0, 1.0, 2.0], 50.0) == 2.0
-
-
-class TestLatencySummary:
-    def test_empty(self):
-        summary = latency_summary([])
-        assert summary["n"] == 0
-        assert summary["p99"] == 0.0
-
-    def test_fields(self):
-        summary = latency_summary([1.0, 2.0, 3.0, 100.0])
-        assert summary["n"] == 4
-        assert summary["max"] == 100.0
-        assert summary["mean"] == pytest.approx(26.5)
-        assert summary["p50"] < summary["p95"] <= summary["p99"]
 
 
 class TestJainIndex:

@@ -35,7 +35,7 @@ class Rig:
 def make_rig():
     def make(method: str = "keyed", seed: int = 7) -> Rig:
         ws = Workstation(MachineConfig(method=method, page_bounded=True,
-                                       seed=seed, trace_enabled=True))
+                                       seed=seed, spans_enabled=True))
         proc = ws.kernel.spawn("t")
         ws.kernel.enable_user_dma(proc)
         src = ws.kernel.alloc_buffer(proc, 8192)

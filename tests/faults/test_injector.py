@@ -10,7 +10,7 @@ from .conftest import TRANSFER_BYTES
 
 def attach(rig, *rules, seed=0):
     plan = FaultPlan(rules=list(rules), seed=seed)
-    return Injector(plan, rig.ws.sim, trace=rig.ws.trace).attach(rig.ws)
+    return Injector(plan, rig.ws.sim).attach(rig.ws)
 
 
 def test_dropped_store_fails_initiation(make_rig):
@@ -76,8 +76,10 @@ def test_bitflip_store_is_counted_and_traced(make_rig):
                                      count=1, bit=0))
     rig.chan.initiate(rig.src.vaddr, rig.dst.vaddr, TRANSFER_BYTES)
     assert injector.stats.counter("store.bitflip").value == 1
-    flips = rig.ws.trace.events(source="faults", kind="store-bitflip")
+    flips = [s for s in rig.ws.spans.finished()
+             if s.name == "fault.store.bitflip"]
     assert len(flips) == 1
+    assert flips[0].track == "faults" and flips[0].start == flips[0].end
 
 
 def test_detach_restores_the_machine(make_rig):
@@ -98,7 +100,7 @@ def test_injection_is_replayable(make_rig):
         rig = make_rig()
         plan = FaultPlan(rules=[
             FaultRule(kind=DROP, target="store", probability=0.3)], seed=11)
-        Injector(plan, rig.ws.sim, trace=rig.ws.trace).attach(rig.ws)
+        Injector(plan, rig.ws.sim).attach(rig.ws)
         for _ in range(5):
             rig.chan.initiate(rig.src.vaddr, rig.dst.vaddr, TRANSFER_BYTES)
         return plan.total_fired
@@ -107,19 +109,15 @@ def test_injection_is_replayable(make_rig):
 
 
 def test_fault_records_carry_the_active_trace_context(make_rig):
-    """Under an activated trace context, every injected fault's trace
-    event and span inherit the victim request's trace_id."""
+    """Under an activated trace context, every injected fault's span
+    inherits the victim request's trace_id."""
     from repro.obs.context import TraceContext
 
     rig = make_rig()
-    rig.ws.spans.enabled = True
     attach(rig, FaultRule(kind=DROP, target="store", nth=1, count=1))
     ctx = TraceContext(trace_id="7-00000042", tenant="a", request_id=42)
     with rig.ws.spans.activate(ctx, process="shard0"):
         rig.chan.initiate(rig.src.vaddr, rig.dst.vaddr, TRANSFER_BYTES)
-    events = rig.ws.trace.events(source="faults", kind="store-drop")
-    assert len(events) == 1
-    assert events[0].detail["trace_id"] == "7-00000042"
     fault_spans = [s for s in rig.ws.spans.finished()
                    if s.name == "fault.store.drop"]
     assert len(fault_spans) == 1

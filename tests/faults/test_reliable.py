@@ -13,7 +13,7 @@ POLICY = RetryPolicy(max_attempts=3, base_backoff=us(2),
 
 def attach(rig, *rules, seed=0):
     plan = FaultPlan(rules=list(rules), seed=seed)
-    return Injector(plan, rig.ws.sim, trace=rig.ws.trace).attach(rig.ws)
+    return Injector(plan, rig.ws.sim).attach(rig.ws)
 
 
 def test_fault_free_path_is_single_attempt(make_rig):
@@ -37,7 +37,10 @@ def test_retry_recovers_from_transient_store_drop(make_rig):
     assert stats.counter("dma.retries").value == 1
     assert stats.counter("dma.recoveries").value == 1
     assert stats.counter("dma.kernel_fallbacks").value == 0
-    assert rig.ws.trace.events(source="api", kind="dma-retry")
+    (root,) = [s for s in rig.ws.spans.finished()
+               if s.name == "dma.reliable"]
+    assert root.attrs["outcome"] == "retried"
+    assert root.attrs["attempts"] == 2
 
 
 def test_dma_reliable_recovers_lost_completion(make_rig):
@@ -62,7 +65,8 @@ def test_kernel_fallback_after_retry_exhaustion(make_rig):
     stats = rig.ws.stats
     assert stats.counter("dma.retry_exhausted").value == 1
     assert stats.counter("dma.kernel_fallbacks").value == 1
-    assert rig.ws.trace.events(source="api", kind="dma-fallback")
+    names = [s.name for s in rig.ws.spans.finished()]
+    assert names.count("dma.fallback") == 1
 
 
 def test_failure_reported_when_fallback_disabled(make_rig):

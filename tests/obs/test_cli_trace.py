@@ -7,6 +7,7 @@ tree — initiate -> shadow stores/loads -> transfer -> completion or
 rejection — tagged with its outcome.
 """
 
+import collections
 import json
 
 import pytest
@@ -20,6 +21,14 @@ from repro.obs.export import (
 from repro.obs.runs import traced_adversary_run
 
 ROOT_NAMES = {"dma", "dma.reliable", "dma.initiate"}
+
+#: Spans of the seeded run that each stand for one engine, API or fault
+#: event (the same counts CI asserts on the exported trace).
+FIG8_EVENT_COUNTS = {
+    "dma.shadow_store": 33, "dma.shadow_load": 39, "dma.transfer": 8,
+    "dma.rejected": 1, "dma.fallback": 1, "fault.store.drop": 1,
+    "fault.load.drop": 6,
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +44,16 @@ def test_trace_chrome_export_is_schema_valid(tmp_path, capsys):
     assert "wrote" in out and "perfetto" in out
     trace = json.loads(path.read_text())
     assert validate_chrome_trace(trace) == []
-    assert {e["ph"] for e in trace["traceEvents"]} >= {"M", "X", "i", "C"}
+    assert {e["ph"] for e in trace["traceEvents"]} == {"M", "X", "C"}
+    # Every event the run records is a span: the shadow accesses, the
+    # transfers, and the point events (rejection, fallback, faults).
+    spans = collections.Counter(e["name"] for e in trace["traceEvents"]
+                                if e["ph"] == "X")
+    assert {name: spans[name] for name in FIG8_EVENT_COUNTS} \
+        == FIG8_EVENT_COUNTS
+    # The three user-level retries are the hardened spans' extra attempts.
+    assert sum(e["args"]["attempts"] - 1 for e in trace["traceEvents"]
+               if e["name"] == "dma.reliable") == 3
 
 
 def test_trace_summary_reports_every_outcome(capsys):

@@ -17,7 +17,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsSampler
 from repro.obs.spans import SpanTracer
-from repro.sim.trace import TraceLog
 
 
 class FakeClock:
@@ -64,19 +63,24 @@ def test_chrome_trace_span_fields():
 
 
 def test_chrome_trace_includes_events_and_counters():
+    """Point events are zero-duration spans: they export as ``X``
+    events with ``dur == 0``, next to the metric counters."""
     spans, _, _, _ = make_spans()
-    log = TraceLog(enabled=True)
-    log.emit(500_000, "nic", "send", size=64)
     clock = FakeClock()
+    tracer = SpanTracer(clock=clock, enabled=True)
+    clock.now = 500_000
+    tracer.instant("fault.store.drop", track="faults", paddr=64)
     sampler = MetricsSampler(clock, sources=[lambda: {"bytes": 7.0}],
                              interval=1)
     sampler.poll()
-    trace = chrome_trace(spans, events=log.events(), metrics=sampler)
+    trace = chrome_trace(spans + tracer.finished(), metrics=sampler)
     assert validate_chrome_trace(trace) == []
-    instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+    assert {e["ph"] for e in trace["traceEvents"]} == {"M", "X", "C"}
+    (point,) = [e for e in trace["traceEvents"]
+                if e["name"] == "fault.store.drop"]
+    assert point["ph"] == "X" and point["dur"] == 0
+    assert point["ts"] == 0.5 and point["args"]["paddr"] == 64
     counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-    assert instants[0]["name"] == "nic/send"
-    assert instants[0]["args"]["seq"] == 0
     assert counters[0]["name"] == "bytes"
     assert counters[0]["args"]["value"] == 7.0
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.histogram import LatencyHistogram
-from repro.sim.stats import LatencyStat
-from repro.units import us
 
 
 def test_bucket_geometry_is_monotone_and_covering():
@@ -26,13 +24,13 @@ def test_percentiles_match_exact_stat_within_bound():
     rng = random.Random(11)
     for _ in range(50):
         hist = LatencyHistogram()
-        stat = LatencyStat("exact", keep_samples=True)
+        samples = []
         for _ in range(rng.randrange(1, 300)):
             value = rng.lognormvariate(3.0, 1.5)
             hist.record(value)
-            stat.record(us(value))
-        assert hist.verify_against_stat(
-            stat, qs=(0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0)) == []
+            samples.append(value)
+        assert hist.verify_against_samples(
+            samples, qs=(0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0)) == []
 
 
 def test_relative_error_shrinks_with_more_sub_buckets():
@@ -49,14 +47,11 @@ def test_relative_error_shrinks_with_more_sub_buckets():
 
 def test_verify_catches_divergent_data():
     hist = LatencyHistogram()
-    stat = LatencyStat("exact", keep_samples=True)
     for value in (10.0, 20.0, 30.0):
         hist.record(value)
-        stat.record(us(value * 3))  # a genuinely different stream
-    assert hist.verify_against_stat(stat)
-    short = LatencyStat("short", keep_samples=True)
-    short.record(us(10.0))
-    assert "counts differ" in hist.verify_against_stat(short)[0]
+    # A genuinely different stream of the same length.
+    assert hist.verify_against_samples([30.0, 60.0, 90.0])
+    assert "counts differ" in hist.verify_against_samples([10.0])[0]
 
 
 def test_exemplars_link_tail_samples_to_traces():

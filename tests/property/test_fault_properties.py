@@ -105,8 +105,7 @@ def test_single_runtime_fault_never_wrong_pages(method, fault, nth, bit):
 
     rule = FaultRule(kind=kind, target=target, nth=nth, count=1,
                      bit=bit if kind == BITFLIP else None)
-    injector = Injector(FaultPlan(rules=[rule], seed=1), ws.sim,
-                        trace=ws.trace).attach(ws)
+    injector = Injector(FaultPlan(rules=[rule], seed=1), ws.sim).attach(ws)
     chan = DmaChannel(ws, proc)
     result = chan.dma_reliable(src.vaddr, dst.vaddr, TRANSFER_BYTES,
                                policy=POLICY)

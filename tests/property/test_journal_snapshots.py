@@ -8,7 +8,7 @@ what an unjournaled one does, and every observable bit of harness
 state — RAM bytes, simulator clock and event set, engine registers and
 tables, initiation records, protocol FSM scalars — returns exactly
 under restore, including arbitrarily nested snapshot stacks and with
-the observability layers (trace log, span tracer) recording.
+the span tracer recording.
 """
 
 from __future__ import annotations
@@ -165,19 +165,18 @@ def test_nested_snapshot_stack_unwinds_exactly(method, data):
 def test_spans_and_trace_survive_journal_restore(method):
     """Observability state is part of the journal's restore contract.
 
-    With spans and tracing enabled, a deliver mutates the span tracer
-    (open/finished spans, id counter) and appends trace events; undoing
-    to a mark must put both back exactly.
+    With spans enabled, a deliver mutates the span tracer (open and
+    finished spans, id counter); undoing to a mark must put it back
+    exactly.
     """
     harness = make_method_harness(method)
     engine = harness.engine
     engine.spans.enabled = True
-    engine.trace.enabled = True
 
     def obs_state() -> Tuple:
         spans = engine.spans
         return (spans._next_id, list(spans._finished), dict(spans._open),
-                list(spans._stack), spans.dropped, len(engine.trace))
+                list(spans._stack), spans.dropped)
 
     order = method_streams(method)[0] + method_streams(method)[1]
     harness.deliver(order[0])  # snapshot from a non-virgin state
@@ -187,6 +186,16 @@ def test_spans_and_trace_survive_journal_restore(method):
         harness.deliver(access)
     harness.restore(token)
     assert obs_state() == before
+
+
+def test_fingerprint_skips_memoization_while_engine_spans_are_on():
+    """A merged subtree would skip its span records, so a harness whose
+    engine records spans reports no fingerprint (no memoization)."""
+    harness = make_method_harness("keyed")
+    harness.deliver(method_streams("keyed")[0][0])
+    assert harness.fingerprint() is not None
+    harness.engine.spans.enabled = True
+    assert harness.fingerprint() is None
 
 
 def test_journal_binds_on_first_snapshot_not_on_replay():

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from repro.core.api import DmaChannel
 from repro.core.machine import MachineConfig, Workstation
 from repro.core.report import machine_stats
+from repro.obs.export import spans_jsonl
 from repro.verify.stress import run_stress
 
 
 def run_workload(seed: int, method: str = "keyed"):
     ws = Workstation(MachineConfig(method=method, seed=seed,
-                                   trace_enabled=True))
+                                   spans_enabled=True))
     proc = ws.kernel.spawn()
     ws.kernel.enable_user_dma(proc)
     src = ws.kernel.alloc_buffer(proc, 16384)
@@ -42,7 +43,8 @@ def test_same_seed_same_stats(seed):
 def test_same_seed_same_trace(seed):
     a = run_workload(seed)
     b = run_workload(seed)
-    assert a.trace.dump() == b.trace.dump()
+    assert (spans_jsonl(a.spans.all_spans())
+            == spans_jsonl(b.spans.all_spans()))
 
 
 @settings(max_examples=6, deadline=None)

@@ -4,7 +4,7 @@
 come from a log-bucketed histogram.  This suite checks what the serving
 loop no longer does — that every window's histogram percentiles agree
 with the exact sample-interpolated percentiles within the histogram's
-provable error bound (``LatencyHistogram.verify_against_stat``), and
+provable error bound (``LatencyHistogram.verify_against_samples``), and
 that the trend point reports exactly those histogram percentiles.
 
 Latencies are drawn as integer picoseconds, as a shard measures them,
@@ -24,8 +24,7 @@ from repro.service.requests import (
     Request,
 )
 from repro.service.telemetry import FleetTelemetry
-from repro.sim.stats import LatencyStat
-from repro.units import to_us, us
+from repro.units import to_us
 
 QUANTILES = (0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0)
 
@@ -40,7 +39,7 @@ sample = st.tuples(
 def test_every_window_histogram_is_within_bound_of_exact(windows):
     telemetry = FleetTelemetry(window_ticks=1)
     for tick, window in enumerate(windows, start=1):
-        exact = LatencyStat("window", keep_samples=True)
+        exact = []
         for req_id, (latency_ps, outcome) in enumerate(window):
             completion = Completion(
                 Request(tenant=f"t{req_id % 7}", req_id=req_id),
@@ -48,10 +47,10 @@ def test_every_window_histogram_is_within_bound_of_exact(windows):
                 latency_us=to_us(latency_ps))
             telemetry.record(completion)
             if outcome != OUTCOME_REJECTED:
-                exact.record(us(completion.latency_us))
+                exact.append(completion.latency_us)
         hist = telemetry._window_hist
         point = telemetry.close_window(tick)
-        assert hist.verify_against_stat(exact, qs=QUANTILES) == []
+        assert hist.verify_against_samples(exact, qs=QUANTILES) == []
         assert (point.p50_us, point.p95_us, point.p99_us) == tuple(
             round(hist.percentile(q), 3) for q in (50.0, 95.0, 99.0))
         assert point.rejected == sum(

@@ -180,6 +180,18 @@ def test_fault_plan_is_derived_per_shard():
     assert seeds == {0, 1}
 
 
+#: Well-formed JSON objects the service must refuse without dropping the
+#: connection: mistyped tenants and traces, and out-of-range shards.
+HOSTILE_REQUESTS = (
+    {"tenant": 5},
+    {"tenant": ["x"]},
+    {"tenant": "a", "shard": 999},
+    {"tenant": "a", "shard": -1},
+    {"tenant": "a", "trace": 5},
+    {"tenant": "a", "trace": {"x": 1}},
+)
+
+
 def test_tcp_roundtrip_and_stats():
     async def scenario():
         ready = asyncio.Event()
@@ -188,15 +200,18 @@ def test_tcp_roundtrip_and_stats():
         await ready.wait()
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", ready.port)
+        lines = [
+            {"tenant": "alice", "kind": "dma", "size": 512},
+            {"op": "stats"},
+            "not json at all",
+            {"tenant": "bob", "bogus_field": 1},
+            ["tenant"],
+            {"tenant": "carol", "size": 256},
+        ]
+        for hostile in HOSTILE_REQUESTS:
+            lines += [hostile, {"tenant": "dave", "size": 128}]
         responses = []
-        for line in (
-                {"tenant": "alice", "kind": "dma", "size": 512},
-                {"op": "stats"},
-                "not json at all",
-                {"tenant": "bob", "bogus_field": 1},
-                ["tenant"],
-                {"tenant": "carol", "size": 256},
-        ):
+        for line in lines:
             raw = (line if isinstance(line, str)
                    else json.dumps(line))
             writer.write(raw.encode() + b"\n")
@@ -206,7 +221,8 @@ def test_tcp_roundtrip_and_stats():
         await server
         return responses
 
-    dma, stats, bad_json, bad_field, not_object, after = run(scenario())
+    responses = run(scenario())
+    dma, stats, bad_json, bad_field, not_object, after = responses[:6]
     assert dma["ok"] is True
     assert dma["tenant"] == "alice"
     assert dma["bytes_moved"] == 512
@@ -216,6 +232,12 @@ def test_tcp_roundtrip_and_stats():
     assert not_object == {"error": "a request must be a JSON object"}
     assert after["ok"] is True  # the connection survived the array
     assert after["tenant"] == "carol"
+    # Each hostile line gets one error reply; the valid request sent
+    # next on the same connection still completes.
+    for hostile, reply, following in zip(HOSTILE_REQUESTS,
+                                         responses[6::2], responses[7::2]):
+        assert set(reply) == {"error"}, hostile
+        assert following["ok"] is True and following["tenant"] == "dave"
 
 
 def test_full_shard_rejects_with_a_reason_and_keeps_serving():

@@ -197,6 +197,16 @@ def test_request_validation():
     for data in (["tenant"], "tenant", None):
         with pytest.raises(ConfigError, match="JSON object"):
             Request.from_dict(data)
+    # Mistyped fields and malformed trace contexts are typed errors too,
+    # not values that fail later inside the service.
+    for fields in ({"tenant": 5}, {"tenant": ["x"]}, {"size": True},
+                   {"size": 1.5}, {"hot": 1}, {"shard": "0"},
+                   {"tick": False}, {"req_id": None}, {"trace": 5},
+                   {"trace": {"x": 1}},
+                   {"trace": {"trace_id": "t", "request_id": "x"}}):
+        with pytest.raises(ConfigError):
+            Request.from_dict({"tenant": "a", **fields})
+    assert Request.from_dict({"tenant": "a", "shard": None}).shard is None
 
 
 def test_pattern_and_canary_are_tenant_specific():

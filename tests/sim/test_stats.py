@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.sim.stats import Counter, LatencyStat, StatRegistry, merge_snapshots
+from repro.sim.stats import (
+    Counter,
+    LatencyStat,
+    StatRegistry,
+    merge_snapshots,
+    percentile,
+)
 from repro.units import us
 
 
@@ -37,90 +43,54 @@ def test_latency_min_max():
     assert stat.max == 900
 
 
-def test_latency_stddev_zero_for_constant():
-    stat = LatencyStat("lat")
-    for _ in range(5):
-        stat.record(1000)
-    assert stat.stddev == pytest.approx(0.0, abs=1e-6)
-
-
-def test_latency_stddev_known_value():
-    stat = LatencyStat("lat")
-    for sample in (2, 4, 4, 4, 5, 5, 7, 9):
-        stat.record(sample)
-    assert stat.stddev == pytest.approx(2.0)
-
-
 def test_latency_rejects_negative_sample():
     with pytest.raises(ValueError):
         LatencyStat("lat").record(-1)
 
 
-def test_percentile_without_samples_estimates_from_aggregates():
-    # keep_samples=False must still return a defined value: the estimate
-    # interpolates min..mean for p<=50 and mean..max above.
+def test_latency_stat_keeps_only_aggregates():
+    """No quantile is ever fabricated from count/sum/min/max."""
     stat = LatencyStat("lat")
     for sample in (100, 200, 600):
         stat.record(sample)
-    assert stat.percentile(0) == 100
-    assert stat.percentile(50) == 300  # the running mean
-    assert stat.percentile(100) == 600
-    assert stat.percentile(25) == 200
-    assert stat.percentile(75) == 450
+    assert (stat.count, stat.total, stat.min, stat.max) == (3, 900, 100, 600)
+    assert not hasattr(stat, "percentile")
 
 
 def test_percentile_empty_stat_is_zero():
-    stat = LatencyStat("lat")
-    assert stat.percentile(50) == 0
-    empty_kept = LatencyStat("lat2", keep_samples=True)
-    assert empty_kept.percentile(99) == 0
+    assert percentile([], 50) == 0
+    assert percentile([], 99) == 0
 
 
 def test_percentile_single_aggregate_sample():
-    stat = LatencyStat("lat")
-    stat.record(10)
-    assert stat.percentile(50) == 10
-    assert not stat.has_samples
-
-
-def test_percentile_bounds_checked_without_samples():
-    stat = LatencyStat("lat")
-    stat.record(10)
-    with pytest.raises(ValueError):
-        stat.percentile(-1)
-    with pytest.raises(ValueError):
-        stat.percentile(101)
-
-
-def test_has_samples_property():
-    assert not LatencyStat("a").has_samples
-    kept = LatencyStat("b", keep_samples=True)
-    assert not kept.has_samples
-    kept.record(5)
-    assert kept.has_samples
+    assert percentile([10], 50) == 10
+    assert percentile([10], 99) == 10
 
 
 def test_percentile_median():
-    stat = LatencyStat("lat", keep_samples=True)
-    for sample in (10, 20, 30, 40, 50):
-        stat.record(sample)
-    assert stat.percentile(50) == 30
-    assert stat.percentile(0) == 10
-    assert stat.percentile(100) == 50
+    samples = [10, 20, 30, 40, 50]
+    assert percentile(samples, 50) == 30
+    assert percentile(samples, 0) == 10
+    assert percentile(samples, 100) == 50
 
 
 def test_percentile_interpolates():
-    stat = LatencyStat("lat", keep_samples=True)
-    stat.record(0)
-    stat.record(100)
-    assert stat.percentile(25) == 25
+    assert percentile([0, 100], 25) == 25
+    assert percentile([100, 0], 25) == 25  # input order does not matter
+
+
+def test_percentile_bounds_checked_without_samples():
+    with pytest.raises(ValueError):
+        percentile([], -1)
+    with pytest.raises(ValueError):
+        percentile([], 101)
 
 
 def test_percentile_bounds_checked():
-    stat = LatencyStat("lat", keep_samples=True)
-    stat.record(1)
     with pytest.raises(ValueError):
-        stat.percentile(101)
+        percentile([1], 101)
+    with pytest.raises(ValueError):
+        percentile([1], -1)
 
 
 def test_empty_stat_mean_is_zero():
