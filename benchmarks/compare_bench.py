@@ -15,7 +15,11 @@ scenario's candidate throughput falls more than ``--max-regression``
 (default 30%) below the baseline.  ``--min-speedup`` (default 1.0)
 additionally fails the gate when any candidate scenario that reports
 both naive and incremental timings has an incremental/naive speedup
-below the threshold.
+below the threshold.  A noise-free count gate also fails it when any
+common scenario's ``journal_entries_replayed`` or
+``accesses_delivered`` (see :data:`GATED_COUNTS`) rises above the
+baseline: both are deterministic, so any rise is a real change in the
+work the checker does.
 
 **Table-1 latency reports** (``benchmark == "table1"``, the
 ``BENCH_table1.json`` schema written by ``bench_table1.py``): compares
@@ -50,7 +54,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
@@ -138,6 +142,43 @@ def load_rates(path: pathlib.Path) -> Dict[str, float]:
         if rate:
             rates[entry["name"]] = float(rate)
     return rates
+
+
+#: Deterministic incremental-checker work counters gated against any rise.
+GATED_COUNTS = ("journal_entries_replayed", "accesses_delivered")
+
+
+def load_counts(path: pathlib.Path) -> Dict[Tuple[str, Any], Dict[str, int]]:
+    """(scenario name, orders) -> its :data:`GATED_COUNTS` values.
+
+    Keyed on the order count too, because two built-in scenarios share
+    a name.
+    """
+    report = json.loads(path.read_text())
+    counts: Dict[Tuple[str, Any], Dict[str, int]] = {}
+    for entry in report.get("scenarios", []):
+        timing = entry.get("incremental") or {}
+        values = {name: timing[name] for name in GATED_COUNTS
+                  if name in timing}
+        if values:
+            counts[(entry["name"], entry.get("orders"))] = values
+    return counts
+
+
+def compare_counts(baseline: Dict[Tuple[str, Any], Dict[str, int]],
+                   candidate: Dict[Tuple[str, Any], Dict[str, int]],
+                   ) -> List[str]:
+    """Failure lines for common scenarios whose gated counts rose."""
+    failures: List[str] = []
+    for key in sorted(set(baseline) & set(candidate), key=str):
+        name, orders = key
+        for count, base in baseline[key].items():
+            cand = candidate[key].get(count)
+            if cand is not None and cand > base:
+                failures.append(
+                    f"{name} ({orders} orders): {count} rose from "
+                    f"{base} to {cand}")
+    return failures
 
 
 def check_speedups(path: pathlib.Path, min_speedup: float) -> List[str]:
@@ -263,6 +304,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"scenarios (allowing {args.max_regression * 100:.0f}% slowdown)")
     failures = compare(baseline, candidate, args.max_regression)
     failures.extend(check_speedups(args.candidate, args.min_speedup))
+    failures.extend(compare_counts(load_counts(args.baseline),
+                                   load_counts(args.candidate)))
     if failures:
         print("FAIL:")
         for line in failures:

@@ -26,7 +26,6 @@ on the bus and fabric, a hook slot on the transfer engine), so
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..hw.bus import Bus
@@ -178,7 +177,7 @@ class Injector:
             return cost
         if rule.kind == DELAY:
             when = self.sim.now + rule.delay
-            late_ctx = replace(ctx, when=when)
+            late_ctx = ctx._replace(when=when)
             self.sim.schedule(rule.delay,
                               lambda: orig_write(paddr, value, late_ctx),
                               label="fault-delayed-store")
@@ -282,7 +281,7 @@ class Injector:
         if hit is None:
             return
         device, offset = hit
-        device.mmio_write(offset, value, replace(ctx, when=self.sim.now))
+        device.mmio_write(offset, value, ctx._replace(when=self.sim.now))
 
     def _flush_held_packet(self) -> None:
         if self._held_packet is not None:

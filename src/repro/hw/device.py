@@ -12,15 +12,16 @@ current-process register.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..units import Time
 
 
-@dataclass(frozen=True)
-class AccessContext:
+class AccessContext(NamedTuple):
     """Metadata travelling with a bus access.
+
+    Built for every bus access, so it is a NamedTuple: immutable,
+    hashable and cheap to build.
 
     Attributes:
         issuer: process id of the instruction that caused the access, or

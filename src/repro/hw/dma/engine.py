@@ -23,8 +23,8 @@ protocols themselves never see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, NamedTuple, Optional
 
 from ...errors import ConfigError, DeviceError
 from ...obs.spans import Span, SpanTracer
@@ -51,9 +51,9 @@ REG_MAPOUT_SRC = 0x30
 REG_MAPOUT_DST = 0x38
 
 
-@dataclass(frozen=True)
-class InitiationRecord:
-    """One initiation attempt that reached the start logic.
+class InitiationRecord(NamedTuple):
+    """One initiation attempt that reached the start logic (a
+    NamedTuple, like the per-access records: one is built per start).
 
     Attributes:
         when: simulation time of the attempt.
@@ -130,8 +130,13 @@ class DmaEngine(MmioDevice):
         #: after the mover writes local memory, so a CPU-side cache can
         #: invalidate the destination lines (non-coherent I/O model).
         self.coherence_hook = None
+        # The data mover calls back into this engine through a weak
+        # reference: a bound method would make the engine and its
+        # transfer engine a reference cycle.
+        move_bytes = weakref.WeakMethod(self._move_bytes)
         self.transfer_engine = DmaTransferEngine(
-            sim, bandwidth_bps, startup, self._move_bytes,
+            sim, bandwidth_bps, startup,
+            lambda psrc, pdst, size: move_bytes()(psrc, pdst, size),
             spans=self.spans)
         self._control_src = 0
         self._control_dst = 0
@@ -141,11 +146,15 @@ class DmaEngine(MmioDevice):
         # Shared undo journal (checker backtracking): None when unbound.
         self._undo: Optional[UndoJournal] = None
         self._j_epoch = 0
+        self._ctx_epochs = [0] * len(self.contexts)
         # Fingerprint caches, valid only because every mutation site
         # either keys them on a length (append/truncate-only lists) or
-        # invalidates them explicitly (table writes, undo callbacks).
+        # invalidates them explicitly (table writes, context captures,
+        # undo callbacks, transfer-completion flips).
         self._init_fp: tuple = ()
         self._tables_fp: Optional[tuple] = None
+        self._ctx_fp: Optional[tuple] = None
+        self._ctx_fp_flips = 0
         self.protocol = protocol
         protocol.attach(self)
 
@@ -158,16 +167,19 @@ class DmaEngine(MmioDevice):
 
         While bound, the first MMIO access of each journal epoch captures
         the engine's hot mutable state (protocol FSM blob, scalar
-        registers, all register contexts) as journal entries, and the
-        rare mutations (table writes, initiation-record appends) record
-        individually — so ``journal.undo_to(mark)`` restores the engine
-        at cost proportional to what actually changed.  Cascades to the
-        transfer engine.
+        registers) as one journal entry, a register context is captured
+        where it is mutated (once per epoch, see :meth:`capture_context`),
+        and the rare mutations (table writes, initiation-record appends)
+        record individually — so ``journal.undo_to(mark)`` restores the
+        engine at cost proportional to what actually changed.  Cascades
+        to the transfer engine.
         """
         self._undo = journal
         self._j_epoch = 0
+        self._ctx_epochs = [0] * len(self.contexts)
         self._init_fp = ()
         self._tables_fp = None
+        self._ctx_fp = None
         self.transfer_engine.bind_journal(journal)
 
     def _j_access(self) -> None:
@@ -176,35 +188,54 @@ class DmaEngine(MmioDevice):
         if journal is None or self._j_epoch == journal.epoch:
             return
         self._j_epoch = journal.epoch
-        journal.record_call(self.protocol.restore_state,
-                            self.protocol.snapshot_state())
         journal.record_call(self._restore_scalar_state, self._scalar_state())
-        journal.record_call(self._restore_contexts,
-                            tuple(c.snapshot() for c in self.contexts))
         span_state = self.spans.snapshot()
         if span_state is not None:
             journal.record_call(self.spans.restore, span_state)
 
     def _scalar_state(self) -> tuple:
-        """Scalar engine state captured once per journal epoch.
+        """The protocol FSM blob and the scalar engine state, captured
+        together (one journal entry) once per journal epoch.
 
         Subclasses with extra scalar state extend the tuple (and override
         :meth:`_restore_scalar_state` to match).
         """
-        return (self.current_pid, self.protocol_violations,
-                self.oversize_rejections, self._control_src,
-                self._control_dst, self._control_status,
+        return (self.protocol.snapshot_state(), self.current_pid,
+                self.protocol_violations, self.oversize_rejections,
+                self._control_src, self._control_dst, self._control_status,
                 self._control_transfer, self._mapout_src_latch)
 
     def _restore_scalar_state(self, blob: tuple) -> None:
-        (self.current_pid, self.protocol_violations,
+        (protocol_state, self.current_pid, self.protocol_violations,
          self.oversize_rejections, self._control_src, self._control_dst,
          self._control_status, self._control_transfer,
          self._mapout_src_latch) = blob
+        self.protocol.restore_state(protocol_state)
 
-    def _restore_contexts(self, blobs: tuple) -> None:
-        for context, state in zip(self.contexts, blobs):
-            context.restore(state)
+    def capture_context(self, context: RegisterContext) -> None:
+        """Record *context* for undo before the caller mutates it.
+
+        Every register-context mutation goes through here first: the
+        context-page accesses, :meth:`try_start`, the keyed and capio
+        argument stores, and the kernel's context management.  The
+        capture happens once per journal epoch; the cached context
+        fingerprint drops on every call.
+        """
+        self._ctx_fp = None
+        journal = self._undo
+        if journal is None:
+            return
+        epochs = self._ctx_epochs
+        ctx_id = context.ctx_id
+        if epochs[ctx_id] != journal.epoch:
+            epochs[ctx_id] = journal.epoch
+            journal.record_call(self._restore_context,
+                                (context, context.snapshot()))
+
+    def _restore_context(self, entry: tuple) -> None:
+        context, state = entry
+        context.restore(state)
+        self._ctx_fp = None
 
     def _j_table(self, table: Dict[int, int], key: int) -> None:
         """Journal a privileged-table write (undo restores or re-deletes)."""
@@ -250,17 +281,17 @@ class DmaEngine(MmioDevice):
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
             access = self._shadow_access("store", ctx_index, 0, value, ctx)
+            context = self.contexts[ctx_index]
+            self.capture_context(context)
             if self.spans.enabled:
                 sp = self._access_span("dma.context_store", ctx,
                                        ctx_id=ctx_index, data=value)
                 self.protocol.on_context_store(
-                    self.contexts[ctx_index], offset & PAGE_MASK, value,
-                    access)
+                    context, offset & PAGE_MASK, value, access)
                 self.spans.end(sp, state_to=self.protocol.state_label())
             else:
                 self.protocol.on_context_store(
-                    self.contexts[ctx_index], offset & PAGE_MASK, value,
-                    access)
+                    context, offset & PAGE_MASK, value, access)
             return
         page = offset >> PAGE_SHIFT
         reg = offset & PAGE_MASK
@@ -291,16 +322,18 @@ class DmaEngine(MmioDevice):
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
             access = self._shadow_access("load", ctx_index, 0, 0, ctx)
+            context = self.contexts[ctx_index]
+            self.capture_context(context)
             if self.spans.enabled:
                 sp = self._access_span("dma.context_load", ctx,
                                        ctx_id=ctx_index)
                 status = self.protocol.on_context_load(
-                    self.contexts[ctx_index], offset & PAGE_MASK, access)
+                    context, offset & PAGE_MASK, access)
                 self.spans.end(sp, state_to=self.protocol.state_label(),
                                status=status)
             else:
                 status = self.protocol.on_context_load(
-                    self.contexts[ctx_index], offset & PAGE_MASK, access)
+                    context, offset & PAGE_MASK, access)
             return status
         page = offset >> PAGE_SHIFT
         reg = offset & PAGE_MASK
@@ -376,9 +409,10 @@ class DmaEngine(MmioDevice):
             # new record replaces a cached slot, so cut the cache first.
             self._init_fp = self._init_fp[:len(self.initiations)]
         self.initiations.append(InitiationRecord(
-            when=self.sim.now, psrc=psrc, pdst=pdst, size=size,
-            issuer=issuer, via=via_name,
-            ctx_id=ctx.ctx_id if ctx is not None else None, ok=ok))
+            self.sim.now, psrc, pdst, size, issuer, via_name,
+            ctx.ctx_id if ctx is not None else None, ok))
+        if ctx is not None:
+            self.capture_context(ctx)
         if not ok:
             if ctx is not None:
                 ctx.failed = True
@@ -506,6 +540,7 @@ class DmaEngine(MmioDevice):
         """Record OS assignment of a context to a process, resetting it."""
         self._check_ctx_id(ctx_id)
         context = self.contexts[ctx_id]
+        self.capture_context(context)
         context.reset()
         context.owner_pid = pid
         return context
@@ -513,8 +548,10 @@ class DmaEngine(MmioDevice):
     def release_context(self, ctx_id: int) -> None:
         """OS released a context: scrub state, key, and ownership."""
         self._check_ctx_id(ctx_id)
-        self.contexts[ctx_id].reset()
-        self.contexts[ctx_id].owner_pid = None
+        context = self.contexts[ctx_id]
+        self.capture_context(context)
+        context.reset()
+        context.owner_pid = None
         self._j_table(self.key_table, ctx_id)
         self.key_table.pop(ctx_id, None)
 
@@ -559,8 +596,16 @@ class DmaEngine(MmioDevice):
             else:
                 cached = cached + tuple(self.initiations[len(cached):])
             self._init_fp = cached
+        flips = self.transfer_engine.flips
+        contexts = self._ctx_fp
+        if contexts is None or self._ctx_fp_flips != flips:
+            # A context's value includes its transfer's completed flag,
+            # which the transfer engine flips without a context capture.
+            contexts = self._ctx_fp = tuple(
+                c.fingerprint() for c in self.contexts)
+            self._ctx_fp_flips = flips
         return (
-            tuple(c.fingerprint() for c in self.contexts),
+            contexts,
             tables[0],
             tables[1],
             self.current_pid,
@@ -576,6 +621,7 @@ class DmaEngine(MmioDevice):
     def reset(self) -> None:
         """Power-on reset: contexts, tables, protocol state, records."""
         for context in self.contexts:
+            self.capture_context(context)
             context.reset()
             context.owner_pid = None
         self.key_table.clear()
@@ -597,9 +643,8 @@ class DmaEngine(MmioDevice):
 
     def _shadow_access(self, op: str, ctx_id: int, paddr: int, data: int,
                        ctx: AccessContext) -> ShadowAccess:
-        return ShadowAccess(op=op, ctx_id=ctx_id, paddr=paddr, data=data,
-                            issuer=ctx.issuer, kernel=ctx.kernel,
-                            when=ctx.when)
+        return ShadowAccess(op, ctx_id, paddr, data, ctx.issuer, ctx.kernel,
+                            ctx.when)
 
     def _check_ctx_id(self, ctx_id: int) -> None:
         if not 0 <= ctx_id < len(self.contexts):

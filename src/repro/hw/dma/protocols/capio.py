@@ -183,6 +183,7 @@ class CapioProtocol(InitiationProtocol):
             self.cap_rejections += 1
             return
         context = self.engine.contexts[entry.owner_ctx]
+        self.engine.capture_context(context)
         phys = entry.base + ref.offset
         if arg == ARG_SOURCE:
             context.src = phys

@@ -92,6 +92,7 @@ class KeyedProtocol(InitiationProtocol):
             self.key_rejections += 1
             return
         context = contexts[ctx_id]
+        self.engine.capture_context(context)
         if arg == ARG_SOURCE:
             context.src = access.paddr
         else:

@@ -23,9 +23,10 @@ is exactly the kernel modification it requires.)
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Tuple
 
 from ...errors import ConfigError
 from ...units import Time
@@ -36,9 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import DmaEngine
 
 
-@dataclass(frozen=True)
-class ShadowAccess:
+class ShadowAccess(NamedTuple):
     """One decoded access to the shadow region.
+
+    Built once per engine access, so it is a NamedTuple: immutable,
+    hashable and cheap to build.
 
     Attributes:
         op: "load", "store", or "exchange".
@@ -82,6 +85,11 @@ class SetupOp:
     args: Tuple = ()
 
 
+def _unattached() -> None:
+    """The engine reference of a protocol no engine has attached."""
+    return None
+
+
 class InitiationProtocol(ABC):
     """Base class for the per-method DMA-initiation state machines."""
 
@@ -89,21 +97,27 @@ class InitiationProtocol(ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self._engine: Optional["DmaEngine"] = None
+        self._engine: Callable[[], Optional["DmaEngine"]] = _unattached
 
     # -- wiring -----------------------------------------------------------------
 
     def attach(self, engine: "DmaEngine") -> None:
-        """Bind this protocol to its engine.  Called by the engine."""
-        self._engine = engine
+        """Bind this protocol to its engine.  Called by the engine.
+
+        The engine owns its protocol, so the protocol refers back to it
+        weakly: a strong reference both ways would be a cycle that only
+        the cyclic garbage collector frees.
+        """
+        self._engine = weakref.ref(engine)
         self.reset()
 
     @property
     def engine(self) -> "DmaEngine":
         """The owning engine (raises if unattached)."""
-        if self._engine is None:
+        engine = self._engine()
+        if engine is None:
             raise RuntimeError(f"protocol {self.name} is not attached")
-        return self._engine
+        return engine
 
     # -- the shadow region --------------------------------------------------------
 

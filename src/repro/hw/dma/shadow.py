@@ -23,15 +23,15 @@ pages sit inside the engine window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ...errors import AddressError, ConfigError
 from ..pagetable import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class ShadowRef:
-    """A decoded shadow access target.
+class ShadowRef(NamedTuple):
+    """A decoded shadow access target (a NamedTuple: decoded on every
+    engine access, so it must be cheap to build).
 
     Attributes:
         ctx_id: the CONTEXT_ID carried in the address (0 under plain
@@ -149,11 +149,12 @@ class ShadowLayout:
         Returns None for offsets in the register/privileged region.
         """
         rel = offset - self.shadow_offset
-        if rel < 0 or rel >= self.shadow_region_size:
+        shift = self.ctx_shift
+        # rel >= shadow_region_size, without the property call: this
+        # decode runs on every engine access.
+        if rel < 0 or rel >> (self.ctx_bits + shift):
             return None
-        ctx_id = rel >> self.ctx_shift
-        paddr = rel & (self.max_argument_paddr - 1)
-        return ShadowRef(ctx_id=ctx_id, paddr=paddr)
+        return ShadowRef(rel >> shift, rel & ((1 << shift) - 1))
 
     def decode_paddr(self, shadow_addr: int) -> Optional[ShadowRef]:
         """Decode an absolute physical address as a shadow reference."""

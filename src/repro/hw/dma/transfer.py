@@ -122,6 +122,11 @@ class DmaTransferEngine:
         # History is append/truncate-only, so the cache keys on length;
         # completion-flag flips invalidate it explicitly.
         self._fp_hist: Tuple[tuple, ...] = ()
+        #: Count of ``completed`` flag changes, completions and their
+        #: undos alike.  Never restored by undo, so a cache built from
+        #: transfer values (the owning engine's context fingerprint)
+        #: can tell whether a flag changed since it was built.
+        self.flips = 0
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal."""
@@ -143,6 +148,7 @@ class DmaTransferEngine:
     def _uncomplete(self, transfer: "Transfer") -> None:
         transfer.completed = False
         self._fp_hist = ()
+        self.flips += 1
 
     def duration_of(self, size: int) -> Time:
         """Modelled duration of a *size*-byte transfer."""
@@ -204,6 +210,7 @@ class DmaTransferEngine:
             transfer.completed = True
             self.bytes_moved += size
             self._fp_hist = ()
+            self.flips += 1
             # A duplicated completion re-runs the mover; the span must
             # close exactly once.
             if span is not None and not span.closed:

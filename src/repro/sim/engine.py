@@ -8,7 +8,9 @@ pending-event store split into two tiers:
   from the current wheel base).  Scheduling into the wheel is an O(1)
   list append; draining scans forward from the current slot, so densely
   scheduled workloads (the NOW fabric, bulk DMA completions) never pay
-  heap maintenance;
+  heap maintenance.  A slot's list is allocated on first use, so a
+  simulator that schedules little (the checker builds thousands)
+  allocates little;
 * a **far heap** — the classic binary heap, holding only events beyond
   the wheel horizon (long timeouts, the "never" sentinel of dropped
   completions).  As the clock advances the wheel rebase migrates heap
@@ -141,7 +143,7 @@ class Simulator:
         self._span: Time = wheel_slots << wheel_granularity_bits
         self._wheel_base: Time = 0
         self._horizon: Time = self._span
-        self._slots: List[List[Event]] = [[] for _ in range(wheel_slots)]
+        self._slots: List[Optional[List[Event]]] = [None] * wheel_slots
         self._wheel_count = 0   # entries in slots, cancelled included
         self._far: List[Event] = []
         # -- head cache: earliest live event, or None when dirty/empty --
@@ -202,8 +204,12 @@ class Simulator:
         """Insert into the wheel (near) or the far heap (beyond horizon)."""
         self._sig = None
         if event.when < self._horizon:
-            self._slots[(event.when >> self._gran_bits)
-                        & self._slot_mask].append(event)
+            index = (event.when >> self._gran_bits) & self._slot_mask
+            slot = self._slots[index]
+            if slot is None:
+                self._slots[index] = [event]  # allocated on first use
+            else:
+                slot.append(event)
             self._wheel_count += 1
         else:
             heapq.heappush(self._far, event)
@@ -211,18 +217,24 @@ class Simulator:
         if not self._head_dirty and (head is None or event < head):
             self._head = event
 
+    def _unslot(self, event: Event) -> bool:
+        """Remove *event* from its wheel slot; False when it is not there
+        (migrated to the far heap by a rebase race)."""
+        slot = self._slots[(event.when >> self._gran_bits) & self._slot_mask]
+        if slot is None:
+            return False
+        try:
+            slot.remove(event)
+        except ValueError:
+            return False
+        self._wheel_count -= 1
+        return True
+
     def _discard(self, event: Event) -> None:
         """Remove a specific event from its tier (undo/pop helper)."""
         self._sig = None
-        if event.when < self._horizon:
-            slot = self._slots[(event.when >> self._gran_bits)
-                               & self._slot_mask]
-            try:
-                slot.remove(event)
-                self._wheel_count -= 1
-                return
-            except ValueError:
-                pass  # migrated to the far heap by a rebase race
+        if event.when < self._horizon and self._unslot(event):
+            return
         try:
             self._far.remove(event)
         except ValueError:
@@ -251,19 +263,13 @@ class Simulator:
         self._wheel_base = base
         self._horizon = base + self._span
         self._wheel_count = 0
-        for event in survivors:
-            self._slots[(event.when >> self._gran_bits)
-                        & self._slot_mask].append(event)
-        self._wheel_count = len(survivors)
         far = self._far
-        horizon = self._horizon
-        while far and far[0].when < horizon:
+        while far and far[0].when < self._horizon:
             event = heapq.heappop(far)
-            if event.cancelled:
-                continue
-            self._slots[(event.when >> self._gran_bits)
-                        & self._slot_mask].append(event)
-            self._wheel_count += 1
+            if not event.cancelled:
+                survivors.append(event)
+        for event in survivors:
+            self._place(event)
         self._head = None
         self._head_dirty = True
 
@@ -425,16 +431,9 @@ class Simulator:
 
     def _remove_head(self, event: Event) -> None:
         """Pop *event*, known to be the current head, from its tier."""
-        if event.when < self._horizon:
-            slot = self._slots[(event.when >> self._gran_bits)
-                               & self._slot_mask]
-            try:
-                slot.remove(event)
-                self._wheel_count -= 1
-            except ValueError:
-                heapq.heappop(self._far)
-        else:
+        if event.when >= self._horizon or not self._unslot(event):
             heapq.heappop(self._far)
+        self._sig = None
         self._head = None
         self._head_dirty = True
 
@@ -537,22 +536,39 @@ class Simulator:
 
         Cached between queue mutations: the checker fingerprints the
         simulator once per tree node but the queue changes far less
-        often, so the (wheel-scanning) recomputation is rare.
+        often.  A recomputation costs O(live events).
         """
         sig = self._sig
         if sig is None:
             sig = tuple(sorted((e.when, e.label)
-                               for e in self._all_events()
-                               if not e.cancelled))
+                               for e in self._live_events()))
             self._sig = sig
         return sig
 
-    def _all_events(self) -> List[Event]:
-        """Every queued event (cancelled included), both tiers, any order."""
-        events: List[Event] = []
-        for slot in self._slots:
-            events.extend(slot)
-        events.extend(self._far)
+    def _live_events(self) -> List[Event]:
+        """Every live queued event, both tiers, any order.
+
+        Live wheel events sit at ``when >= now``, so the walk starts at
+        the current slot and stops once it has seen all ``_live`` of
+        them: it visits the slots up to the last live event, never the
+        whole wheel.
+        """
+        events = [e for e in self._far if not e.cancelled]
+        missing = self._live - len(events)
+        if missing > 0:
+            start = max(self.now, self._wheel_base) >> self._gran_bits
+            mask = self._slot_mask
+            slots = self._slots
+            for index in range(start, start + self._n_slots):
+                slot = slots[index & mask]
+                if not slot:
+                    continue
+                for event in slot:
+                    if not event.cancelled:
+                        events.append(event)
+                        missing -= 1
+                if missing <= 0:
+                    break
         return events
 
     def _peek(self) -> Optional[Event]:

@@ -20,7 +20,12 @@ Two recording disciplines coexist, chosen per mutation site:
   blob once, and later mutations inside the same epoch are free.  The
   :attr:`epoch` counter increments on every mark *and* every undo, so a
   component comparing its stamped epoch against the journal's knows
-  whether the current blob is already safely captured.
+  whether the current blob is already safely captured.  A blob is
+  captured at the sites that mutate it, so an epoch pays only for the
+  blobs it changed: the DMA engine captures one register context where
+  it is written (context-page accesses, starts, keyed and capio
+  argument stores, the kernel's context assignment, release and reset),
+  never every context on every access.
 
 Each entry is an ``(undo, arg)`` pair and replay calls ``undo(arg)`` —
 one uniform step, no per-entry dispatch.  Correctness relies only on
@@ -28,7 +33,12 @@ replay happening newest-first, which makes redundant captures harmless.
 
 Components opt in through ``bind_journal(journal)`` and must keep
 working when no journal is bound (``None`` — the default everywhere
-outside the checker, costing one branch per mutation site).
+outside the checker, costing one branch per mutation site).  A
+component that caches a value derived from journaled state must drop
+the cache wherever that state changes, undo callbacks included: the
+DMA engine's cached context fingerprint drops on every context capture,
+on every context undo, and when a transfer's ``completed`` flag flips
+(``DmaTransferEngine.flips``).
 """
 
 from __future__ import annotations

@@ -68,11 +68,13 @@ _NO_CHANGE = object()
 #: which is exactly the speedup<1.0 regression BENCH_checker recorded on
 #: the 2-to-21-order scenarios; fast replay also skips the per-order
 #: harness reconstruction that dominates the naive oracle.  Re-measured
-#: on the nine built-in scenarios under 30 orders (CPython 3.11, 2 vCPUs,
-#: median of 5, two runs): at threshold 0 three fell below 1.0x the
-#: naive oracle in a run (pair-race-flash 0.78x), a DFS without
-#: memoization under 30 orders still gave 0.91x (fig6-repeated4), and
-#: with the cutover all nine ran at 1.08-2.07x.
+#: on the nine built-in scenarios under 30 orders after per-context
+#: journaling, which also made the oracle's per-order rebuild cheaper
+#: (CPython 3.11, 2 vCPUs, median of 250 runs each in 25 alternating
+#: batches): at threshold 0 five of the nine fell below 1.0x the naive
+#: oracle (0.75-0.99x, pair-race-shrimp2 lowest), and with the cutover
+#: all nine ran at 1.01-1.33x (pair-race-extshadow thinnest: both of its
+#: starts capture a register context that the oracle never saves).
 SMALL_SCENARIO_CUTOVER = 30
 
 
@@ -410,6 +412,10 @@ def check_scenario_incremental(
         return node
 
     root = dfs(total_length)
+    # dfs refers to itself through its closure cell; deleting the name
+    # breaks that cycle, so the harness and memo table free by
+    # reference counting as soon as this call returns.
+    del dfs
     stats.leaves = root.leaves
     stats.naive_accesses = root.leaves * total_length
     stats.transposition_entries = len(memo)

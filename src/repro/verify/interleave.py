@@ -102,8 +102,7 @@ class ProtocolHarness:
 
     def deliver(self, access: AccessSpec) -> Optional[int]:
         """Deliver one access; returns the status for loads, else None."""
-        ctx = AccessContext(issuer=access.pid, kernel=False,
-                            when=self.sim.now)
+        ctx = AccessContext(access.pid, False, self.sim.now)
         self.sim.advance(1)  # keep timestamps strictly ordered
         if access.op in ("store", "load", "exchange"):
             offset = (self.layout.shadow_offset
@@ -238,24 +237,28 @@ def iter_interleavings_shared(
     :func:`enumerate_interleavings`.
     """
     lengths = [len(s) for s in streams]
-    total = sum(lengths)
-    positions = [0] * len(streams)
-    prefix: List[AccessSpec] = []
+    yield from _extend_shared(streams, lengths, [0] * len(streams), [],
+                              sum(lengths))
 
-    def recurse() -> Iterator[List[AccessSpec]]:
-        if len(prefix) == total:
-            yield prefix
-            return
-        for index, stream in enumerate(streams):
-            pos = positions[index]
-            if pos < lengths[index]:
-                prefix.append(stream[pos])
-                positions[index] = pos + 1
-                yield from recurse()
-                positions[index] = pos
-                prefix.pop()
 
-    yield from recurse()
+def _extend_shared(streams: Sequence[Sequence[AccessSpec]],
+                   lengths: List[int], positions: List[int],
+                   prefix: List[AccessSpec],
+                   total: int) -> Iterator[List[AccessSpec]]:
+    """Yield every completion of *prefix* (a module-level recursion: a
+    self-referencing closure would be a reference cycle)."""
+    if len(prefix) == total:
+        yield prefix
+        return
+    for index, stream in enumerate(streams):
+        pos = positions[index]
+        if pos < lengths[index]:
+            prefix.append(stream[pos])
+            positions[index] = pos + 1
+            yield from _extend_shared(streams, lengths, positions, prefix,
+                                      total)
+            positions[index] = pos
+            prefix.pop()
 
 
 def interleaving_count(lengths: Sequence[int]) -> int:

@@ -51,6 +51,20 @@ def install_modern_setup(harness, method: str) -> None:
             "cap-mint", (2, 1, 2, 0, 32768, True, True, MODERN_NONCE_2)))
 
 
+def drop_fingerprint_caches(harness) -> None:
+    """Drop every cache behind ``harness.fingerprint()``.
+
+    The next fingerprint is then computed cold, from the state itself,
+    which is what a cached fingerprint must always equal.
+    """
+    engine = harness.engine
+    engine._ctx_fp = None
+    engine._tables_fp = None
+    engine._init_fp = ()
+    engine.transfer_engine._fp_hist = ()
+    harness.sim._sig = None
+
+
 def build_workstation(method: str = "keyed", **overrides) -> Workstation:
     """A fresh workstation wired for *method*."""
     return Workstation(MachineConfig(method=method, **overrides))

@@ -19,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import install_modern_setup, modern_stream_kwargs
+from tests.conftest import (
+    drop_fingerprint_caches,
+    install_modern_setup,
+    modern_stream_kwargs,
+)
 
 from repro.core.methods import METHODS, make_protocol
 from repro.verify.interleave import (
@@ -71,8 +75,17 @@ def observe(harness: ProtocolHarness) -> Tuple:
     """Every observable bit of harness state, as comparable values.
 
     Nothing here reads the journal, so a journaled and an unjournaled
-    harness can be compared directly.
+    harness can be compared directly.  The engine fingerprint and the
+    event signature are cached between mutations, so each is also
+    recomputed cold and must match: a cache that survived a missed
+    restore cannot hide it.
     """
+    engine = harness.engine
+    signature = harness.sim.live_event_signature()
+    fingerprint = engine.fingerprint()
+    drop_fingerprint_caches(harness)
+    assert harness.sim.live_event_signature() == signature
+    assert engine.fingerprint() == fingerprint
     scalars = tuple(sorted(
         (name, value) for name, value in vars(harness.protocol).items()
         if isinstance(value, (int, str, bool, type(None)))))
@@ -81,10 +94,11 @@ def observe(harness: ProtocolHarness) -> Tuple:
         harness.sim.now,
         harness.sim.pending,
         harness.sim.events_fired,
-        harness.sim.live_event_signature(),
-        harness.engine.fingerprint(),
-        tuple(harness.engine.initiations),
-        harness.engine.protocol_violations,
+        signature,
+        fingerprint,
+        tuple(context.snapshot() for context in engine.contexts),
+        tuple(engine.initiations),
+        engine.protocol_violations,
         scalars,
     )
 
@@ -218,3 +232,33 @@ def test_journal_binds_on_first_snapshot_not_on_replay():
     assert harness.journal is journal  # later snapshots reuse it
     harness.replay(order)
     assert harness.journal is None
+
+
+@pytest.mark.parametrize("kernel_op", [
+    lambda engine: engine.assign_context(0, 99),
+    lambda engine: engine.release_context(0),
+    lambda engine: engine.reset(),
+], ids=["assign_context", "release_context", "reset"])
+def test_restore_undoes_kernel_context_management(kernel_op):
+    """The kernel's context management is journaled like an access.
+
+    A checker scenario may reassign a register context between two of
+    a victim's accesses, so restore must bring back the context the
+    kernel scrubbed: its owner and its latched arguments, and the
+    cached fingerprint must drop with it.
+    """
+    harness = make_method_harness("keyed")
+    engine = harness.engine
+    engine.assign_context(0, 1)
+    for access in method_streams("keyed")[0][:3]:
+        harness.deliver(access)  # context 0 latches dst, src and size
+    before = tuple(context.snapshot() for context in engine.contexts)
+    assert before[0][:4] == (SRC_1, DST_1, SIZE, 1)
+    token = harness.snapshot()
+    kernel_op(engine)
+    harness.fingerprint()  # cache the scrubbed contexts
+    harness.restore(token)
+    assert tuple(context.snapshot() for context in engine.contexts) == before
+    fingerprint = harness.fingerprint()
+    drop_fingerprint_caches(harness)
+    assert harness.fingerprint() == fingerprint

@@ -9,12 +9,24 @@ transposition table on or off.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from tests.conftest import drop_fingerprint_caches
+
+import repro.verify.incremental as incremental
 from repro.errors import VerificationError
 from repro.verify.adversary import builtin_scenarios, fig8_scenario
-from repro.verify.incremental import CheckStats, check_scenario_incremental
-from repro.verify.model_check import check_scenario
+from repro.verify.faulted import FAULT_HARDENED_METHODS
+from repro.verify.incremental import (
+    SMALL_SCENARIO_CUTOVER,
+    CheckStats,
+    check_scenario_incremental,
+)
+from repro.verify.interleave import interleaving_count
+from repro.verify.model_check import check_scenario, make_harness
+from repro.verify.synth import verify_method_under_k_faults
 
 SCENARIOS = builtin_scenarios()
 SCENARIO_IDS = [s.name for s in SCENARIOS]
@@ -79,3 +91,53 @@ def test_progress_callback_fires_and_reaches_total():
 def test_max_interleavings_cap_raises():
     with pytest.raises(VerificationError):
         check_scenario_incremental(fig8_scenario(2), max_interleavings=100)
+
+
+def test_cached_fingerprint_equals_cold_at_every_node(monkeypatch):
+    """The transposition table keys on cached fingerprints; at every DFS
+    node of the built-in suite and of a k=2 fault sample each equals
+    one recomputed cold."""
+    nodes = 0
+
+    def checked_harness(scenario):
+        harness = make_harness(scenario)
+        cached = harness.fingerprint
+
+        def fingerprint():
+            nonlocal nodes
+            value = cached()
+            drop_fingerprint_caches(harness)
+            assert value == cached()
+            nodes += value is not None
+            return value
+
+        harness.fingerprint = fingerprint
+        return harness
+
+    monkeypatch.setattr(incremental, "make_harness", checked_harness)
+    for scenario in SCENARIOS:
+        check_scenario_incremental(scenario)
+    for method in FAULT_HARDENED_METHODS:
+        verify_method_under_k_faults(method, k=2, max_combos=100, seed=7)
+    assert nodes > 15_000
+
+
+def orders(scenario) -> int:
+    return interleaving_count([len(s) for s in scenario.streams])
+
+
+@pytest.mark.parametrize("scenario", [
+    next(s for s in SCENARIOS if orders(s) >= SMALL_SCENARIO_CUTOVER),
+    next(s for s in SCENARIOS if orders(s) < SMALL_SCENARIO_CUTOVER),
+], ids=["dfs", "fast-replay"])
+def test_finished_check_leaves_no_cyclic_garbage(scenario):
+    """A finished check frees its harness and memo table by reference
+    counting: nothing is left for the cyclic garbage collector."""
+    check_scenario_incremental(scenario)  # warm imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        check_scenario_incremental(scenario)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
