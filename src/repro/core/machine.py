@@ -67,9 +67,6 @@ class MachineConfig:
         node_id: this workstation's id in the cluster address map.
         atomic_mode: build an atomic unit in this mode ("keyed" /
             "extshadow"), or None for no atomic unit.
-        data_cache: model a direct-mapped write-through data cache for
-            cached RAM accesses (off by default — the calibrated flat
-            RAM cost reproduces Table 1; see repro.hw.cache).
         page_bounded: harden the engine against corrupted size words by
             rejecting user-level transfers that cross a page boundary
             (see :class:`repro.hw.dma.engine.DmaEngine`); fault-tolerant
@@ -92,7 +89,6 @@ class MachineConfig:
     write_buffer_collapsing: bool = True
     node_id: int = 0
     atomic_mode: Optional[str] = None
-    data_cache: bool = False
     page_bounded: bool = False
     spans_enabled: bool = False
     metrics_interval: Optional[Time] = None
@@ -160,15 +156,9 @@ class Workstation:
             capacity=timing.write_buffer_capacity,
             collapsing=cfg.write_buffer_collapsing,
             relaxed=cfg.relaxed_write_buffer)
-        self.data_cache = None
-        if cfg.data_cache:
-            from ..hw.cache import DataCache
-
-            self.data_cache = DataCache()
-            self.nic.coherence_hook = self.data_cache.invalidate_range
         self.cpu = Cpu(self.sim, self.cpu_clock, self.mmu, self.bus,
                        self.write_buffer, timing.cpu_costs,
-                       spans=self.spans, cache=self.data_cache)
+                       spans=self.spans)
 
         from ..os.vm import VirtualMemoryManager
 

@@ -157,9 +157,8 @@ class Bus:
     def read_word(self, paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
         """Perform a word read; return (value, bus cost).
 
-        RAM reads are charged one data cycle (the CPU-side cache model adds
-        its own cost); device reads are charged the full uncached round
-        trip.
+        RAM reads are charged one data cycle; device reads are charged
+        the full uncached round trip.
 
         Raises:
             BusError: if *paddr* is neither RAM nor a device window.

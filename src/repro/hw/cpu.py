@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
 from ..obs.spans import SpanTracer
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
-from ..sim.stats import StatRegistry
+from ..sim.stats import Counter, StatRegistry
 from ..units import Time
 from .bus import Bus
 from .device import AccessContext
@@ -165,8 +165,8 @@ class Cpu:
 
     def __init__(self, sim: Simulator, clock: Clock, mmu: Mmu, bus: Bus,
                  write_buffer: WriteBuffer, costs: CpuCosts,
-                 spans: Optional[SpanTracer] = None, name: str = "cpu0",
-                 cache=None) -> None:
+                 spans: Optional[SpanTracer] = None,
+                 name: str = "cpu0") -> None:
         self.sim = sim
         self.clock = clock
         self.mmu = mmu
@@ -176,15 +176,17 @@ class Cpu:
         self.spans = spans if spans is not None else SpanTracer(
             sim.time_source())
         self.name = name
-        #: Optional data cache (repro.hw.cache.DataCache); when present,
-        #: cached RAM accesses pay its hit/miss cycles instead of the
-        #: flat mem_cycles cost.
-        self.cache = cache
         self.stats = StatRegistry(name)
+        self._count = _BoundCounters(self.stats)
+        #: Picoseconds per cycle cost, each converted once: the costs
+        #: are a handful of constants and round the same way every time.
+        self._cycle_ps: Dict[float, Time] = {}
         self._pal_functions: Dict[str, Program] = {}
         self._syscalls: Dict[str, SyscallHandler] = {}
         self._in_pal = False
         self._in_kernel = False
+        #: The thread the last step ran (or the scheduler is draining
+        #: for): posted stores reach the bus on its behalf.
         self._current_thread: Optional[Thread] = None
 
     # -- configuration ---------------------------------------------------------
@@ -250,16 +252,14 @@ class Cpu:
                 access=exc.access,
                 pc=thread.pc,
             )
-            self.stats.counter("faults").add()
+            self._count["faults"].value += 1
             self.spans.instant("cpu.fault", track=self.name,
                                pid=thread.pid, pc=thread.pc,
                                fault=thread.fault.kind, vaddr=exc.vaddr)
             return StepStatus.FAULTED
-        finally:
-            self._current_thread = None
         thread.pc = next_pc
         thread.instructions_retired += 1
-        self.stats.counter("instructions").add()
+        self._count["instructions"].value += 1
         if thread.halted:
             return StepStatus.HALTED
         return StepStatus.RUNNING
@@ -291,66 +291,61 @@ class Cpu:
     # -- per-instruction semantics ---------------------------------------------------
 
     def _execute(self, thread: Thread, instr: Instruction) -> int:
-        pc = thread.pc
-        if isinstance(instr, Load):
-            self._do_load(thread, instr.dst, instr.addr)
-            return pc + 1
-        if isinstance(instr, Store):
-            self._do_store(thread, instr.addr, self._value(thread, instr.src))
-            return pc + 1
-        if isinstance(instr, CompareExchange):
-            self._do_exchange(thread, instr.dst, instr.addr,
-                              self._value(thread, instr.src))
-            return pc + 1
-        if isinstance(instr, Mb):
-            self._advance_cycles(self.costs.mb_cycles)
-            self._flush_write_buffer(thread)
-            self.stats.counter("mbs").add()
-            return pc + 1
-        if isinstance(instr, Mov):
-            thread.set_reg(instr.dst, self._value(thread, instr.src))
-            self._advance_cycles(self.costs.base_cycles)
-            return pc + 1
-        if isinstance(instr, Add):
-            total = self._value(thread, instr.a) + self._value(thread, instr.b)
-            thread.set_reg(instr.dst, total)
-            self._advance_cycles(self.costs.base_cycles)
-            return pc + 1
-        if isinstance(instr, Beq):
-            self._advance_cycles(self.costs.branch_cycles)
-            if self._value(thread, instr.a) == self._value(thread, instr.b):
-                return thread.program.target(instr.target)
-            return pc + 1
-        if isinstance(instr, Bne):
-            self._advance_cycles(self.costs.branch_cycles)
-            if self._value(thread, instr.a) != self._value(thread, instr.b):
-                return thread.program.target(instr.target)
-            return pc + 1
-        if isinstance(instr, Jump):
-            self._advance_cycles(self.costs.branch_cycles)
+        """Run *instr* for *thread*; returns the next pc."""
+        execute = _EXECUTE.get(type(instr))
+        if execute is None:
+            raise ConfigError(f"unknown instruction {instr!r}")
+        return execute(self, thread, instr)
+
+    def _op_mb(self, thread: Thread, instr: Mb) -> int:
+        self.advance_cycles(self.costs.mb_cycles)
+        self.write_buffer.flush(self._drain)
+        self._count["mbs"].value += 1
+        return thread.pc + 1
+
+    def _op_mov(self, thread: Thread, instr: Mov) -> int:
+        thread.set_reg(instr.dst, self._value(thread, instr.src))
+        self.advance_cycles(self.costs.base_cycles)
+        return thread.pc + 1
+
+    def _op_add(self, thread: Thread, instr: Add) -> int:
+        total = self._value(thread, instr.a) + self._value(thread, instr.b)
+        thread.set_reg(instr.dst, total)
+        self.advance_cycles(self.costs.base_cycles)
+        return thread.pc + 1
+
+    def _op_beq(self, thread: Thread, instr: Beq) -> int:
+        self.advance_cycles(self.costs.branch_cycles)
+        if self._value(thread, instr.a) == self._value(thread, instr.b):
             return thread.program.target(instr.target)
-        if isinstance(instr, CallPal):
-            self._do_call_pal(thread, instr.name)
-            return pc + 1
-        if isinstance(instr, Syscall):
-            self._do_syscall(thread, instr.name)
-            return pc + 1
-        if isinstance(instr, Halt):
-            thread.halted = True
-            self._advance_cycles(self.costs.base_cycles)
-            # The buffer keeps draining after the program ends; model it
-            # as a final flush so no posted store is ever lost.
-            self._flush_write_buffer(thread)
-            return pc + 1
-        if isinstance(instr, Nop):
-            self._advance_cycles(self.costs.base_cycles)
-            return pc + 1
-        raise ConfigError(f"unknown instruction {instr!r}")
+        return thread.pc + 1
+
+    def _op_bne(self, thread: Thread, instr: Bne) -> int:
+        self.advance_cycles(self.costs.branch_cycles)
+        if self._value(thread, instr.a) != self._value(thread, instr.b):
+            return thread.program.target(instr.target)
+        return thread.pc + 1
+
+    def _op_jump(self, thread: Thread, instr: Jump) -> int:
+        self.advance_cycles(self.costs.branch_cycles)
+        return thread.program.target(instr.target)
+
+    def _op_halt(self, thread: Thread, instr: Halt) -> int:
+        thread.halted = True
+        self.advance_cycles(self.costs.base_cycles)
+        # The buffer keeps draining after the program ends; model it
+        # as a final flush so no posted store is ever lost.
+        self.write_buffer.flush(self._drain)
+        return thread.pc + 1
+
+    def _op_nop(self, thread: Thread, instr: Nop) -> int:
+        self.advance_cycles(self.costs.base_cycles)
+        return thread.pc + 1
 
     # -- memory paths ------------------------------------------------------------------
 
-    def _do_load(self, thread: Thread, dst: str, addr: Addr) -> None:
-        vaddr = self._effective(thread, addr)
+    def _op_load(self, thread: Thread, instr: Load) -> int:
+        vaddr = self._effective(thread, instr.addr)
         translation = self.mmu.translate(vaddr, "read",
                                          user_mode=not self._in_kernel)
         self.sim.advance(translation.cost)
@@ -361,59 +356,56 @@ class Cpu:
                 # Relaxed write buffer: the load is serviced from a
                 # pending same-address store and never reaches the device
                 # (footnote 6's failure mode).
-                self._advance_cycles(self.costs.base_cycles)
-                thread.set_reg(dst, forwarded)
-                self.stats.counter("forwarded_loads").add()
-                return
+                self.advance_cycles(self.costs.base_cycles)
+                thread.set_reg(instr.dst, forwarded)
+                self._count["forwarded_loads"].value += 1
+                return thread.pc + 1
             if not self.write_buffer.relaxed:
                 # Strongly ordered interface: drain before the load.
-                self._flush_write_buffer(thread)
-            self._advance_cycles(self.costs.base_cycles
+                self.write_buffer.flush(self._drain)
+            self.advance_cycles(self.costs.base_cycles
                                  + self.costs.uncached_issue_cycles)
             value, bus_cost = self.bus.read_word(paddr, self._access_ctx(thread))
             self.sim.advance(bus_cost)
-            self.stats.counter("uncached_loads").add()
+            self._count["uncached_loads"].value += 1
         else:
-            self._advance_cycles(self.costs.mem_cycles
-                                 if self.cache is None
-                                 else self.cache.access(paddr))
+            self.advance_cycles(self.costs.mem_cycles)
             value = self.bus.ram.read_word(paddr)
-            self.stats.counter("loads").add()
-        thread.set_reg(dst, value)
+            self._count["loads"].value += 1
+        thread.set_reg(instr.dst, value)
+        return thread.pc + 1
 
-    def _do_store(self, thread: Thread, addr: Addr, value: int) -> None:
-        vaddr = self._effective(thread, addr)
+    def _op_store(self, thread: Thread, instr: Store) -> int:
+        vaddr = self._effective(thread, instr.addr)
+        value = self._value(thread, instr.src) & WORD_MASK
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
         self.sim.advance(translation.cost)
         paddr = translation.paddr
         if self.bus.is_device(paddr):
-            self._advance_cycles(self.costs.base_cycles
+            self.advance_cycles(self.costs.base_cycles
                                  + self.costs.uncached_issue_cycles)
-            room_cost = self.write_buffer.post(
-                paddr, value & WORD_MASK, self._drain_fn(thread))
-            # post() already advanced time inside the drain fn if it had
-            # to make room; room_cost is informational.
-            del room_cost
-            self.stats.counter("uncached_stores").add()
+            # post() advances time inside the drain if it has to make
+            # room; its returned bus cost is informational.
+            self.write_buffer.post(paddr, value, self._drain)
+            self._count["uncached_stores"].value += 1
         else:
-            self._advance_cycles(self.costs.mem_cycles
-                                 if self.cache is None
-                                 else self.cache.access(paddr))
-            self.bus.ram.write_word(paddr, value & WORD_MASK)
-            self.stats.counter("stores").add()
+            self.advance_cycles(self.costs.mem_cycles)
+            self.bus.ram.write_word(paddr, value)
+            self._count["stores"].value += 1
+        return thread.pc + 1
 
-    def _do_exchange(self, thread: Thread, dst: str, addr: Addr,
-                     value: int) -> None:
-        vaddr = self._effective(thread, addr)
+    def _op_exchange(self, thread: Thread, instr: CompareExchange) -> int:
+        vaddr = self._effective(thread, instr.addr)
+        value = self._value(thread, instr.src) & WORD_MASK
         # An atomic RMW needs both read and write rights.
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
         self.mmu.translate(vaddr, "read", user_mode=not self._in_kernel)
         self.sim.advance(translation.cost)
         paddr = translation.paddr
-        self._flush_write_buffer(thread)
-        self._advance_cycles(self.costs.base_cycles
+        self.write_buffer.flush(self._drain)
+        self.advance_cycles(self.costs.base_cycles
                              + self.costs.uncached_issue_cycles)
         hit = self.bus.find_window(paddr)
         if hit is not None:
@@ -424,30 +416,26 @@ class Cpu:
 
                 raise DeviceError(
                     f"device {device.name} does not support atomic exchange")
-            old = exchange(offset, value & WORD_MASK, self._access_ctx(thread))
+            old = exchange(offset, value, self._access_ctx(thread))
             cost = self.bus.clock.cycles(
                 self.bus.timing.device_read_cycles
                 + self.bus.timing.device_write_cycles - 4)
             self.sim.advance(cost)
         else:
             old = self.bus.ram.read_word(paddr)
-            self.bus.ram.write_word(paddr, value & WORD_MASK)
-            self._advance_cycles(self.costs.mem_cycles)
-        thread.set_reg(dst, old)
-        self.stats.counter("exchanges").add()
+            self.bus.ram.write_word(paddr, value)
+            self.advance_cycles(self.costs.mem_cycles)
+        thread.set_reg(instr.dst, old)
+        self._count["exchanges"].value += 1
+        return thread.pc + 1
 
-    def _drain_fn(self, thread: Thread):
-        """Build the write-buffer drain callback for *thread*'s stores."""
-
-        def drain(paddr: int, value: int) -> Time:
-            cost = self.bus.write_word(paddr, value, self._access_ctx(thread))
-            self.sim.advance(cost)
-            return cost
-
-        return drain
-
-    def _flush_write_buffer(self, thread: Thread) -> None:
-        self.write_buffer.flush(self._drain_fn(thread))
+    def _drain(self, paddr: int, value: int) -> Time:
+        """The write buffer's drain target: one posted store reaches the
+        bus on behalf of the current thread."""
+        cost = self.bus.write_word(paddr, value,
+                                   self._access_ctx(self._current_thread))
+        self.sim.advance(cost)
+        return cost
 
     def drain_write_buffer(self, thread: Thread) -> None:
         """Flush posted stores on behalf of *thread* (scheduler use).
@@ -456,17 +444,19 @@ class Cpu:
         calls this before swapping address spaces so a preempted thread's
         posted stores still reach the device in order.
         """
-        self._flush_write_buffer(thread)
+        self._current_thread = thread
+        self.write_buffer.flush(self._drain)
 
     # -- traps ----------------------------------------------------------------------------
 
-    def _do_call_pal(self, thread: Thread, name: str) -> None:
+    def _op_call_pal(self, thread: Thread, instr: CallPal) -> int:
+        name = instr.name
         if name not in self._pal_functions:
             raise ConfigError(f"no PAL function {name!r} installed")
         if self._in_pal:
             raise ConfigError("nested PAL calls are not allowed")
-        self.stats.counter("pal_calls").add()
-        self._advance_cycles(self.costs.pal_entry_cycles)
+        self._count["pal_calls"].value += 1
+        self.advance_cycles(self.costs.pal_entry_cycles)
         pal_program = self._pal_functions[name]
         self._in_pal = True
         saved_program, saved_pc = thread.program, thread.pc
@@ -486,20 +476,23 @@ class Cpu:
             self._in_pal = False
             thread.program, thread.pc = saved_program, saved_pc
             thread.halted = False
-        self._advance_cycles(self.costs.pal_exit_cycles)
+        self.advance_cycles(self.costs.pal_exit_cycles)
+        return thread.pc + 1
 
-    def _do_syscall(self, thread: Thread, name: str) -> None:
+    def _op_syscall(self, thread: Thread, instr: Syscall) -> int:
+        name = instr.name
         if name not in self._syscalls:
             raise ConfigError(f"no syscall {name!r} registered")
-        self.stats.counter("syscalls").add()
-        self._advance_cycles(self.costs.syscall_entry_cycles)
+        self._count["syscalls"].value += 1
+        self.advance_cycles(self.costs.syscall_entry_cycles)
         self._in_kernel = True
         try:
             result = self._syscalls[name](thread, self)
         finally:
             self._in_kernel = False
         thread.set_reg("v0", result & WORD_MASK)
-        self._advance_cycles(self.costs.syscall_exit_cycles)
+        self.advance_cycles(self.costs.syscall_exit_cycles)
+        return thread.pc + 1
 
     # -- helpers ---------------------------------------------------------------------------
 
@@ -507,8 +500,12 @@ class Cpu:
         return AccessContext(issuer=thread.pid, kernel=self._in_kernel,
                              when=self.sim.now)
 
-    def _advance_cycles(self, cycles: float) -> None:
-        self.sim.advance(self.clock.cycles(cycles))
+    def advance_cycles(self, cycles: float) -> None:
+        """Spend *cycles* CPU cycles of simulated time."""
+        ps = self._cycle_ps.get(cycles)
+        if ps is None:
+            ps = self._cycle_ps[cycles] = self.clock.cycles(cycles)
+        self.sim.advance(ps)
 
     @staticmethod
     def _value(thread: Thread, operand: Operand) -> int:
@@ -520,3 +517,39 @@ class Cpu:
     def _effective(thread: Thread, addr: Addr) -> int:
         base = thread.reg(addr.base) if addr.base is not None else 0
         return (base + addr.disp) & WORD_MASK
+
+
+class _BoundCounters(Dict[str, Counter]):
+    """Counters of one registry by name, each bound on first use.
+
+    A counter joins the registry when first counted, exactly as
+    ``StatRegistry.counter`` would have created it, so snapshots list
+    the same counters in the same order; later counts are one dict hit.
+    """
+
+    def __init__(self, stats: StatRegistry) -> None:
+        super().__init__()
+        self._stats = stats
+
+    def __missing__(self, name: str) -> Counter:
+        counter = self[name] = self._stats.counter(name)
+        return counter
+
+
+#: One handler per instruction type, so :meth:`Cpu._execute` dispatches
+#: with a single lookup.
+_EXECUTE: Dict[type, Callable[[Cpu, Thread, Any], int]] = {
+    Load: Cpu._op_load,
+    Store: Cpu._op_store,
+    CompareExchange: Cpu._op_exchange,
+    Mb: Cpu._op_mb,
+    Mov: Cpu._op_mov,
+    Add: Cpu._op_add,
+    Beq: Cpu._op_beq,
+    Bne: Cpu._op_bne,
+    Jump: Cpu._op_jump,
+    CallPal: Cpu._op_call_pal,
+    Syscall: Cpu._op_syscall,
+    Halt: Cpu._op_halt,
+    Nop: Cpu._op_nop,
+}

@@ -126,10 +126,6 @@ class DmaEngine(MmioDevice):
         self.protocol_violations = 0
         self.page_bounded = page_bounded
         self.oversize_rejections = 0
-        #: Optional software-coherence callback: (pdst, size) invoked
-        #: after the mover writes local memory, so a CPU-side cache can
-        #: invalidate the destination lines (non-coherent I/O model).
-        self.coherence_hook = None
         # The data mover calls back into this engine through a weak
         # reference: a bound method would make the engine and its
         # transfer engine a reference cycle.
@@ -452,8 +448,6 @@ class DmaEngine(MmioDevice):
     def _move_bytes(self, psrc: int, pdst: int, size: int) -> None:
         """Default mover: a local RAM copy."""
         self.ram.copy(psrc, pdst, size)
-        if self.coherence_hook is not None:
-            self.coherence_hook(pdst, size)
 
     # ------------------------------------------------------------------
     # Privileged pages

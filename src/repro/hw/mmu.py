@@ -7,8 +7,7 @@ pipeline needs (uncached?) plus the translation cost for the timing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import PageFault, ProtectionFault
 from ..units import Time
@@ -16,9 +15,9 @@ from .pagetable import PAGE_MASK, PageTable, Pte
 from .tlb import Tlb
 
 
-@dataclass(frozen=True)
-class Translation:
-    """The result of one MMU translation.
+class Translation(NamedTuple):
+    """The result of one MMU translation (built positionally once per
+    simulated memory instruction, hence a tuple).
 
     Attributes:
         paddr: the physical address.
@@ -86,14 +85,14 @@ class Mmu:
         if pte is not None:
             self._check(pte, vaddr, access, user_mode)
             return Translation(pte.pframe | (vaddr & PAGE_MASK), pte,
-                               self.hit_cost, tlb_hit=True)
+                               self.hit_cost, True)
         # Miss: walk the active table (raises on fault), then cache.
         paddr = self._table.translate(vaddr, access, user_mode)
         pte = self._table.lookup(vaddr)
         assert pte is not None  # translate() would have raised otherwise
         self.tlb.insert(vaddr, pte)
         return Translation(paddr, pte, self.hit_cost + self.walk_cost,
-                           tlb_hit=False)
+                           False)
 
     @staticmethod
     def _check(pte: Pte, vaddr: int, access: str, user_mode: bool) -> None:

@@ -148,8 +148,6 @@ class NetworkInterface(DmaEngine):
         dst_node, dst_local = self._decode_or_local(pdst)
         if dst_node == self.node_id:
             self.ram.write(dst_local, payload)
-            if self.coherence_hook is not None:
-                self.coherence_hook(dst_local, size)
             return
         if self.fabric is None:
             raise NetworkError(

@@ -659,7 +659,7 @@ class Kernel:
 
     def charge(self, cycles: float) -> None:
         """Spend *cycles* of CPU time on kernel work."""
-        self.sim.advance(self.cpu.clock.cycles(cycles))
+        self.cpu.advance_cycles(cycles)
 
     def virtual_to_physical(self, proc: Process, vaddr: int,
                             access: str) -> int:

@@ -1,7 +1,7 @@
 """Processes: address spaces plus the DMA/atomic resources the OS granted.
 
-A :class:`Process` owns a page table, a simple bump allocator for user
-virtual addresses, and its threads.  The OS records in the process the
+A :class:`Process` owns a page table and a simple bump allocator for
+user virtual addresses.  The OS records in the process the
 user-level DMA resources it handed out — the method, the register-context
 id, the secret key, and where the context page is mapped — because user
 code needs those values to build its initiation sequences (the paper:
@@ -146,7 +146,6 @@ class Process:
         self.buffers: List[Buffer] = []
         self.dma: Optional[DmaBinding] = None
         self.atomic: Optional[AtomicBinding] = None
-        self.threads: List[Thread] = []
         #: Remote windows the OS granted: (vaddr, global_paddr, size).
         self.remote_windows: List[tuple] = []
         self._brk = USER_BASE
@@ -186,11 +185,14 @@ class Process:
     # -- threads -------------------------------------------------------------------
 
     def new_thread(self, program: Program) -> Thread:
-        """Create a thread of this process running *program*."""
-        thread = Thread(pid=self.pid, page_table=self.page_table,
-                        program=program)
-        self.threads.append(thread)
-        return thread
+        """Create a thread of this process running *program*.
+
+        The process keeps no reference to it: a finished initiation's
+        thread, program and instructions are freed as soon as its caller
+        drops them, however many requests the process serves.
+        """
+        return Thread(pid=self.pid, page_table=self.page_table,
+                      program=program)
 
     # -- conveniences for user-side code ----------------------------------------------
 

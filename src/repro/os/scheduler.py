@@ -201,10 +201,6 @@ class Scheduler:
         if old is not None:
             # The hardware drains posted stores while state is saved.
             self.cpu.drain_write_buffer(old)
-        if self.cpu.cache is not None:
-            # Cold-cache context-switch model (the OS locality effect
-            # Ousterhout and Rosenblum measured).
-            self.cpu.cache.flush()
         self.cpu.mmu.activate(new.page_table, flush=True)
         new_proc = self._owner[id(new)]
         old_proc = self._owner.get(id(old)) if old is not None else None

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ConfigError
@@ -114,6 +114,14 @@ def shard_of(tenant: str, n_shards: int) -> int:
     return zlib.crc32(tenant.encode("utf-8")) % n_shards
 
 
+def _traced(request: Request, trace: TraceContext) -> Request:
+    """*request* carrying *trace*, built directly (``dataclasses.replace``
+    would inspect the fields on every request)."""
+    return Request(tenant=request.tenant, kind=request.kind,
+                   size=request.size, hot=request.hot, shard=request.shard,
+                   tick=request.tick, req_id=request.req_id, trace=trace)
+
+
 class DmaService:
     """The always-on multi-tenant DMA service."""
 
@@ -187,8 +195,13 @@ class DmaService:
             try:
                 if job.queued is not None:
                     self.spans.end(job.queued)
-                completion = replace(shard.execute(job.request),
-                                     finished_tick=self.tick)
+                done = shard.execute(job.request)
+                completion = Completion(
+                    request=done.request, ok=done.ok, outcome=done.outcome,
+                    latency_us=done.latency_us, attempts=done.attempts,
+                    fell_back=done.fell_back, shard=done.shard,
+                    bytes_moved=done.bytes_moved, finished_tick=self.tick,
+                    reason=done.reason)
                 self._complete(job, completion)
             except Exception as exc:  # pragma: no cover - defensive
                 if not job.future.done():
@@ -228,10 +241,9 @@ class DmaService:
         """
         if request.trace is not None:
             return request
-        trace = TraceContext(
+        return _traced(request, TraceContext(
             trace_id=make_trace_id(self.config.seed, request.req_id),
-            tenant=request.tenant, request_id=request.req_id)
-        return replace(request, trace=trace)
+            tenant=request.tenant, request_id=request.req_id))
 
     async def submit(self, request: Request
                      ) -> "asyncio.Future[Completion]":
@@ -273,8 +285,8 @@ class DmaService:
                         depth=self._queues[shard_index].qsize())
             # The shard's spans hang off this root via the cross-process
             # parent link the context now carries.
-            job.request = request = replace(
-                request, trace=trace.child(job.root.span_id, "frontend"))
+            job.request = request = _traced(
+                request, trace.child(job.root.span_id, "frontend"))
         if not admitted:
             completion = Completion(
                 request=request, ok=False, outcome=OUTCOME_REJECTED,

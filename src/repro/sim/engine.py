@@ -393,7 +393,8 @@ class Simulator:
         if delta < 0:
             raise SimulationError(f"cannot advance by negative time: {delta}")
         target = self.now + delta
-        self._drain_until(target)
+        if self._live:
+            self._drain_until(target)
         if self._journal is not None:
             self._j_state()
         self.now = target

@@ -39,7 +39,6 @@ class TestProcess:
         thread = proc.new_thread(assemble([Halt()]))
         assert thread.pid == 7
         assert thread.page_table is proc.page_table
-        assert proc.threads == [thread]
 
     def test_bindings_raise_until_granted(self):
         proc = Process(1)

@@ -1,9 +1,12 @@
 """One shard: tenant registration, execution, verification, faults."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, FaultRule, bernoulli_plan
+from repro.hw.cpu import Thread
 from repro.service.admission import REASON_SHARD_FULL
 from repro.service.requests import (
     OUTCOME_COMPLETED,
@@ -267,3 +270,21 @@ def test_message_channel_frame_count_matches_allocation():
     assert shard._message_channels == 1
     assert (before - shard.ws.allocator.contiguous_frames_left
             == MESSAGE_CHANNEL_FRAMES)
+
+
+def test_served_requests_leave_no_thread_behind():
+    """The machine keeps nothing per request: once ~200 DMA, atomic and
+    message requests from user- and kernel-channel tenants are served,
+    at most the CPU's most recent thread is still alive."""
+    shard = ServiceShard(0, ShardConfig(seed=1, n_contexts=2, atomics=True))
+    kinds = ("dma", "dma", "atomic", "message")
+    completions = [
+        shard.execute(Request(tenant=f"t{i % 6}", kind=kinds[i % 4],
+                              size=256 + 64 * (i % 5), hot=i % 7 == 0))
+        for i in range(200)]
+    assert all(c.ok for c in completions)
+    vias = {shard.tenant(f"t{i}").channel.via for i in range(6)}
+    assert vias == {"user", "kernel"}
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, Thread)]
+    assert len(alive) <= 1

@@ -18,6 +18,9 @@ from repro.service.soak import (
 
 BASELINE = (pathlib.Path(__file__).resolve().parents[2]
             / "benchmarks/results/BENCH_service.json")
+#: Per-shard machine counters of the BASELINE config's run.
+MACHINE_COUNTERS = (pathlib.Path(__file__).resolve().parent
+                    / "fixtures/machine_counters.json")
 
 
 def small(**overrides):
@@ -141,10 +144,52 @@ def test_config_validation():
         SoakConfig(rate=0.0)
 
 
-def test_committed_baseline_reproduces_exactly():
-    """Rerunning the committed baseline's config reproduces every
-    field of BENCH_service.json except the wall clock."""
+@pytest.fixture(scope="module")
+def baseline_run():
+    """The committed baseline (wall clock dropped) and one rerun of its
+    config, shared so the suite runs that soak once."""
     committed = json.loads(BASELINE.read_text())
     committed.pop("wall")
-    report = run_soak(SoakConfig(**committed["config"]))
+    return committed, run_soak(SoakConfig(**committed["config"]))
+
+
+def test_committed_baseline_reproduces_exactly(baseline_run):
+    """Rerunning the committed baseline's config reproduces every
+    field of BENCH_service.json except the wall clock."""
+    committed, report = baseline_run
     assert json.loads(json.dumps(deterministic_view(report))) == committed
+
+
+def machine_counters(service):
+    """Each shard machine's own counters, JSON-ready, registries in
+    their snapshot order."""
+    out = []
+    for shard in service.shards:
+        ws = shard.ws
+        wb = ws.write_buffer
+        out.append({
+            "cpu": ws.cpu.stats.snapshot(),
+            "bus": ws.bus.stats.snapshot(),
+            "tlb": {"hits": ws.tlb.hits, "misses": ws.tlb.misses,
+                    "flushes": ws.tlb.flushes},
+            "write_buffer": {"posted": wb.stores_posted,
+                             "drains": wb.drains,
+                             "collapsed": wb.stores_collapsed},
+            "sim": {"events_fired": ws.sim.events_fired,
+                    "now": ws.sim.now},
+        })
+    return out
+
+
+def test_baseline_machine_counters_are_unchanged(baseline_run):
+    """A host-side speed-up must leave every simulated statistic alone:
+    the baseline run's CPU and bus counters (same names, same order),
+    TLB, write-buffer and simulator figures equal the fixture recorded
+    from the code before the CPU hot path was trimmed."""
+    _, report = baseline_run
+    expected = json.loads(MACHINE_COUNTERS.read_text())
+    actual = machine_counters(report["_service"])
+    assert actual == expected
+    for got, want in zip(actual, expected):
+        assert list(got["cpu"]) == list(want["cpu"])
+        assert list(got["bus"]) == list(want["bus"])
