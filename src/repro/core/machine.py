@@ -62,8 +62,8 @@ class MachineConfig:
         n_contexts: register contexts in the DMA engine.
         seed: master seed for keys and any stochastic policy.
         relaxed_write_buffer: enable the footnote-6 write-buffer
-            behaviour (load bypassing + forwarding).
-        write_buffer_collapsing: allow same-address store collapsing.
+            behaviour (load bypassing + forwarding).  The write buffer
+            always collapses same-address stores.
         node_id: this workstation's id in the cluster address map.
         atomic_mode: build an atomic unit in this mode ("keyed" /
             "extshadow"), or None for no atomic unit.
@@ -86,7 +86,6 @@ class MachineConfig:
     n_contexts: int = 4
     seed: int = 42
     relaxed_write_buffer: bool = False
-    write_buffer_collapsing: bool = True
     node_id: int = 0
     atomic_mode: Optional[str] = None
     page_bounded: bool = False
@@ -154,7 +153,6 @@ class Workstation:
                            timing.tlb_walk_cycles))
         self.write_buffer = WriteBuffer(
             capacity=timing.write_buffer_capacity,
-            collapsing=cfg.write_buffer_collapsing,
             relaxed=cfg.relaxed_write_buffer)
         self.cpu = Cpu(self.sim, self.cpu_clock, self.mmu, self.bus,
                        self.write_buffer, timing.cpu_costs,

@@ -221,7 +221,7 @@ class DmaTransferEngine:
         if fault is not None and fault[0] == "delay":
             transfer.duration += fault[1]
         self.sim.schedule(transfer.duration, complete,
-                          label=f"dma-complete[{size}B]", transient=True)
+                          label=f"dma-complete[{size}B]")
         if fault is not None and fault[0] == "duplicate":
             # A second, spurious completion event re-runs the mover (an
             # idempotent copy) — visible as double-counted bytes_moved.

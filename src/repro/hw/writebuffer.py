@@ -8,10 +8,13 @@ or when the buffer fills.
 Crucially for the paper, real write buffers may **collapse** successive
 stores to the same address (footnote 6): the second store simply replaces
 the first entry's data and never appears on the bus as a separate
-transaction.  The repeated-passing protocol (§3.3) stores to the *same*
-shadow address twice, so without explicit memory barriers the DMA engine
-never sees the repeats and the initiation cannot succeed.  The ablation
-benchmark flips :attr:`WriteBuffer.collapsing` to demonstrate exactly this.
+transaction.  This buffer always collapses.  The repeated-passing
+protocol (§3.3) stores to the *same* shadow address twice, so without
+explicit memory barriers the DMA engine never sees the repeats and the
+initiation cannot succeed.  The footnote-6 ablation
+(``benchmarks/bench_footnote6.py``) demonstrates exactly this by
+switching the machine's ``relaxed_write_buffer`` and the memory barriers
+on and off.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class _PendingStore:
 
 
 class WriteBuffer:
-    """A FIFO of posted uncached stores with optional same-address collapsing.
+    """A FIFO of posted uncached stores that collapses same-address stores.
 
     Two ordering models are supported:
 
@@ -50,21 +53,20 @@ class WriteBuffer:
       unless memory barriers are inserted; the ablation benchmark
       demonstrates exactly that.
 
+    A store to an address that already has a pending entry overwrites
+    that entry's value instead of appending (footnote 6's "collapsed in
+    ... the write buffer").
+
     Args:
         capacity: number of entries (typical early-90s CPUs: 4).
-        collapsing: merge a new store into an existing same-address entry
-            instead of appending (footnote 6's "collapsed in ... the
-            write buffer").
         relaxed: enable load bypassing and load forwarding as above.
     """
 
-    def __init__(self, capacity: int = 4, collapsing: bool = True,
-                 relaxed: bool = False) -> None:
+    def __init__(self, capacity: int = 4, relaxed: bool = False) -> None:
         if capacity <= 0:
             raise ConfigError(
                 f"write buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.collapsing = collapsing
         self.relaxed = relaxed
         self.stores_posted = 0
         self.stores_collapsed = 0
@@ -103,20 +105,19 @@ class WriteBuffer:
              drain: DrainFn) -> Time:
         """Post a store.
 
-        If the buffer is full the oldest entry drains first (cost charged).
-        With collapsing enabled, a same-address entry is overwritten in
-        place at zero bus cost.
+        A same-address entry is overwritten in place at zero bus cost;
+        otherwise, if the buffer is full, the oldest entry drains first
+        (cost charged).
 
         Returns:
             Bus time spent making room (0 unless the buffer was full).
         """
         self.stores_posted += 1
-        if self.collapsing:
-            for entry in self._entries:
-                if entry.paddr == paddr:
-                    entry.value = value
-                    self.stores_collapsed += 1
-                    return 0
+        for entry in self._entries:
+            if entry.paddr == paddr:
+                entry.value = value
+                self.stores_collapsed += 1
+                return 0
         cost: Time = 0
         if self.full:
             cost = self._drain_one(drain)

@@ -96,7 +96,7 @@ class Link:
         self.messages_carried += 1
         self.bytes_carried += message.size
         self.sim.call_at(arrival, lambda: deliver(message),
-                         label=f"deliver#{message.seq}", transient=True)
+                         label=f"deliver#{message.seq}")
         return arrival
 
     @property

@@ -38,7 +38,6 @@ class Cluster:
                 ram_size=base.ram_size, n_contexts=base.n_contexts,
                 seed=base.seed + node_id,
                 relaxed_write_buffer=base.relaxed_write_buffer,
-                write_buffer_collapsing=base.write_buffer_collapsing,
                 node_id=node_id, atomic_mode=base.atomic_mode)
             self.nodes.append(Workstation(node_config, fabric=self,
                                           sim=self.sim))

@@ -7,14 +7,13 @@ and latency statistics.  Hardware and OS models in :mod:`repro.hw` and
 """
 
 from .clock import Clock
-from .engine import Event, Simulator
+from .engine import Simulator
 from .rng import make_rng, make_secret_stream
 from .stats import Counter, LatencyStat, StatRegistry
 
 __all__ = [
     "Clock",
     "Counter",
-    "Event",
     "LatencyStat",
     "Simulator",
     "StatRegistry",

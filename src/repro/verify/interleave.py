@@ -205,36 +205,22 @@ def enumerate_interleavings(
     """Yield every interleaving of *streams*, each stream kept in order.
 
     The number of results is the multinomial coefficient
-    ``(sum of lengths)! / prod(lengths!)``.
+    ``(sum of lengths)! / prod(lengths!)``.  Each order is a tuple copy
+    of what :func:`iter_interleavings_shared` yields, in the same order.
     """
-    lengths = tuple(len(s) for s in streams)
-
-    def recurse(positions: Tuple[int, ...],
-                prefix: List[AccessSpec]) -> Iterator[Tuple[AccessSpec, ...]]:
-        if all(p == n for p, n in zip(positions, lengths)):
-            yield tuple(prefix)
-            return
-        for index, (pos, length) in enumerate(zip(positions, lengths)):
-            if pos < length:
-                prefix.append(streams[index][pos])
-                next_positions = (positions[:index] + (pos + 1,)
-                                  + positions[index + 1:])
-                yield from recurse(next_positions, prefix)
-                prefix.pop()
-
-    yield from recurse(tuple(0 for _ in streams), [])
+    for order in iter_interleavings_shared(streams):
+        yield tuple(order)
 
 
 def iter_interleavings_shared(
         streams: Sequence[Sequence[AccessSpec]],
 ) -> Iterator[List[AccessSpec]]:
-    """Like :func:`enumerate_interleavings` but yields one *shared* list.
+    """Yield every interleaving of *streams* as one *shared* list.
 
     The same list object is yielded for every interleaving and mutated
     in place between yields, so no per-order tuple is allocated; callers
     that retain an order (e.g. as a violation example) must copy it
-    first (``tuple(order)``).  Yield order is identical to
-    :func:`enumerate_interleavings`.
+    first (``tuple(order)``), as :func:`enumerate_interleavings` does.
     """
     lengths = [len(s) for s in streams]
     yield from _extend_shared(streams, lengths, [0] * len(streams), [],

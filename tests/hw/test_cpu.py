@@ -57,14 +57,14 @@ class RecordingDevice(MmioDevice):
         return 777
 
 
-def make_machine(relaxed=False, collapsing=True):
+def make_machine(relaxed=False):
     sim = Simulator()
     ram = PhysicalMemory(kib(64))
     bus = Bus(ram, TURBOCHANNEL_12_5)
     device = RecordingDevice()
     bus.attach(device, DEV_BASE, PAGE_SIZE)
     mmu = Mmu(Tlb(), walk_cost=0)
-    wb = WriteBuffer(relaxed=relaxed, collapsing=collapsing)
+    wb = WriteBuffer(relaxed=relaxed)
     cpu = Cpu(sim, Clock("cpu", mhz(150)), mmu, bus, wb, CpuCosts())
     table = PageTable("test")
     table.map_page(RAM_V, Pte(RAM_P, Perm.RW))

@@ -22,7 +22,7 @@ def test_post_buffers_without_draining():
 
 
 def test_flush_drains_fifo_order():
-    wb = WriteBuffer(collapsing=False)
+    wb = WriteBuffer()
     log = []
     drain = collect_drains(log)
     wb.post(1, 10, drain)
@@ -35,7 +35,7 @@ def test_flush_drains_fifo_order():
 
 
 def test_collapsing_merges_same_address():
-    wb = WriteBuffer(collapsing=True)
+    wb = WriteBuffer()
     log = []
     drain = collect_drains(log)
     wb.post(0x100, 1, drain)
@@ -45,18 +45,8 @@ def test_collapsing_merges_same_address():
     assert wb.stores_collapsed == 1
 
 
-def test_no_collapsing_keeps_both():
-    wb = WriteBuffer(collapsing=False)
-    log = []
-    drain = collect_drains(log)
-    wb.post(0x100, 1, drain)
-    wb.post(0x100, 2, drain)
-    wb.flush(drain)
-    assert log == [(0x100, 1), (0x100, 2)]
-
-
 def test_capacity_drains_oldest_to_make_room():
-    wb = WriteBuffer(capacity=2, collapsing=False)
+    wb = WriteBuffer(capacity=2)
     log = []
     drain = collect_drains(log)
     wb.post(1, 1, drain)
@@ -85,7 +75,7 @@ def test_forward_misses_other_addresses():
 
 
 def test_forward_returns_newest_value():
-    wb = WriteBuffer(relaxed=True, collapsing=False)
+    wb = WriteBuffer(relaxed=True)
     drain = collect_drains([])
     wb.post(0x100, 1, drain)
     wb.post(0x100, 2, drain)
@@ -102,7 +92,7 @@ def test_discard_drops_entries_without_draining():
 
 
 def test_counters():
-    wb = WriteBuffer(collapsing=True)
+    wb = WriteBuffer()
     log = []
     drain = collect_drains(log)
     wb.post(1, 1, drain)

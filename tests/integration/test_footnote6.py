@@ -14,10 +14,9 @@ default strongly ordered machine, both variants work.
 from tests.conftest import ready_channel
 
 
-def run_repeated5(relaxed, with_mb, collapsing=True):
+def run_repeated5(relaxed, with_mb):
     ws, proc, src, dst, chan = ready_channel(
-        "repeated5", relaxed_write_buffer=relaxed,
-        write_buffer_collapsing=collapsing)
+        "repeated5", relaxed_write_buffer=relaxed)
     ws.ram.write(src.paddr, b"footnote six")
     result = chan.initiate(src.vaddr, dst.vaddr, 64, with_retry=False,
                            with_mb=with_mb)

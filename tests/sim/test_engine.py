@@ -73,23 +73,6 @@ def test_call_at_before_now_rejected():
         sim.call_at(50, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, lambda: fired.append(True))
-    event.cancel()
-    sim.run()
-    assert fired == []
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    event.cancel()
-    event.cancel()
-    assert sim.pending == 0
-
-
 def test_run_until_deadline_leaves_later_events():
     sim = Simulator()
     fired = []
@@ -99,14 +82,6 @@ def test_run_until_deadline_leaves_later_events():
     assert fired == [10]
     assert sim.now == 500
     assert sim.pending == 1
-
-
-def test_run_max_events_budget():
-    sim = Simulator()
-    for _ in range(10):
-        sim.schedule(1, lambda: None)
-    assert sim.run(max_events=3) == 3
-    assert sim.pending == 7
 
 
 def test_events_scheduled_during_run_fire():
@@ -153,109 +128,47 @@ def test_events_fired_counter():
     assert sim.events_fired == 4
 
 
-def test_pending_excludes_cancelled_events():
-    """`pending` is a live counter, not a scan: cancelled events drop
-    out immediately and double-cancel does not double-count."""
-    sim = Simulator()
-    events = [sim.schedule(10 * (i + 1), lambda: None) for i in range(4)]
-    assert sim.pending == 4
-    events[1].cancel()
-    assert sim.pending == 3
-    events[3].cancel()
-    events[3].cancel()
-    assert sim.pending == 2
-    sim.run()
-    assert sim.pending == 0
-    assert sim.events_fired == 2
+# -- far-future events --------------------------------------------------
 
-
-def test_pending_counts_only_live_events_during_run():
-    sim = Simulator()
-    survivor = []
-    victim = sim.schedule(20, lambda: survivor.append("victim"))
-    sim.schedule(10, victim.cancel)
-    sim.schedule(30, lambda: survivor.append("late"))
-    sim.advance(15)
-    assert sim.pending == 1
-    sim.run()
-    assert survivor == ["late"]
-
-
-# -- event wheel: far-future heap fallback and rebase ----------------------
+#: About 17 ms: far beyond anything the machine schedules.
+FAR = 1 << 34
 
 
 def test_far_future_events_fire_in_order():
-    """Events beyond the wheel horizon (far heap) interleave correctly
-    with near events, including after the wheel rebases past them."""
+    """Far events interleave with near ones by timestamp."""
     sim = Simulator()
-    span = sim._span
     fired = []
-    sim.call_at(span * 3 + 17, lambda: fired.append("far2"))
-    sim.call_at(span + 5, lambda: fired.append("far1"))
+    sim.call_at(FAR * 3 + 17, lambda: fired.append("far2"))
+    sim.call_at(FAR + 5, lambda: fired.append("far1"))
     sim.call_at(10, lambda: fired.append("near"))
     sim.run()
     assert fired == ["near", "far1", "far2"]
-    assert sim.now == span * 3 + 17
+    assert sim.now == FAR * 3 + 17
 
 
 def test_same_time_insertion_order_across_horizon():
-    """Same-timestamp events keep insertion order even when one starts
-    in the far heap and migrates into the wheel on rebase."""
+    """Same-timestamp far events keep insertion order once the clock
+    has advanced up to them."""
     sim = Simulator()
-    when = sim._span + 123  # beyond the initial horizon
     fired = []
-    sim.call_at(when, lambda: fired.append("a"))
-    sim.call_at(when, lambda: fired.append("b"))
-    sim.call_at(when, lambda: fired.append("c"))
-    sim.advance(sim._span)  # forces a rebase; events migrate to wheel
+    for label in "abc":
+        sim.call_at(FAR + 123, lambda lab=label: fired.append(lab))
+    sim.advance(FAR)
     sim.run()
     assert fired == ["a", "b", "c"]
 
 
-def test_cancel_far_event_then_run():
-    sim = Simulator()
-    fired = []
-    far = sim.call_at(sim._span * 2, lambda: fired.append("far"))
-    sim.call_at(5, lambda: fired.append("near"))
-    far.cancel()
-    sim.run()
-    assert fired == ["near"]
-    assert sim.pending == 0
-
-
 def test_live_event_signature_tracks_wheel_and_far():
+    """The signature lists near and far events sorted, and shrinks as
+    they fire."""
     sim = Simulator()
+    sim.call_at(FAR + 1, lambda: None, label="far")
     sim.schedule(10, lambda: None, label="near")
-    far = sim.call_at(sim._span + 1, lambda: None, label="far")
-    assert sim.live_event_signature() == ((10, "near"),
-                                          (sim._span + 1, "far"))
-    far.cancel()
-    assert sim.live_event_signature() == ((10, "near"),)
-
-
-# -- transient event recycling ---------------------------------------------
-
-
-def test_transient_events_are_recycled():
-    sim = Simulator()
-    sim.schedule(10, lambda: None, transient=True)
-    sim.run()
-    assert len(sim._free) == 1
-    recycled = sim._free[-1]
-    event = sim.schedule(20, lambda: None)
-    assert event is recycled  # the pool object was reused
-    assert not event.cancelled
-    sim.run()
-
-
-def test_recycling_disabled_under_journal():
-    """Journal undo entries reference fired events; recycling them
-    would corrupt a later undo_to."""
-    sim = Simulator()
-    sim.bind_journal(UndoJournal())
-    sim.schedule(10, lambda: None, transient=True)
-    sim.run()
-    assert sim._free == []
+    assert sim.live_event_signature() == ((10, "near"), (FAR + 1, "far"))
+    sim.step()
+    assert sim.live_event_signature() == ((FAR + 1, "far"),)
+    sim.step()
+    assert sim.live_event_signature() == ()
 
 
 # -- journal mark/undo -----------------------------------------------------
@@ -279,22 +192,6 @@ def test_journal_mark_undo_roundtrip():
     assert fired == ["a"]
 
 
-def test_journal_undo_revives_cancelled_event():
-    sim = Simulator()
-    journal = UndoJournal()
-    sim.bind_journal(journal)
-    fired = []
-    event = sim.schedule(10, lambda: fired.append(True))
-    mark = journal.mark()
-    event.cancel()
-    assert sim.pending == 0
-    journal.undo_to(mark)
-    assert sim.pending == 1
-    assert sim.live_event_signature() == ((10, ""),)
-    sim.run()
-    assert fired == [True]
-
-
 def test_journal_nested_marks_undo_in_stack_order():
     sim = Simulator()
     journal = UndoJournal()
@@ -309,3 +206,24 @@ def test_journal_nested_marks_undo_in_stack_order():
     assert (sim.now, sim.pending) == (11, 0)
     journal.undo_to(outer)
     assert (sim.now, sim.pending) == (1, 0)
+
+
+def test_journal_undo_restores_a_far_event_fired_after_the_mark():
+    """Undo puts back a far event that fired after the mark, and it
+    fires again, even though the clock ran far past it."""
+    sim = Simulator()
+    journal = UndoJournal()
+    sim.bind_journal(journal)
+    fired = []
+    sim.call_at(FAR + 5, lambda: fired.append("far"))
+    mark = journal.mark()
+    sim.advance(FAR + 10)
+    sim.schedule(1, lambda: fired.append("next"))
+    sim.run()
+    assert fired == ["far", "next"]
+    journal.undo_to(mark)
+    assert (sim.now, sim.pending, sim.events_fired) == (0, 1, 0)
+    assert sim.live_event_signature() == ((FAR + 5, ""),)
+    fired.clear()
+    assert sim.run() == 1
+    assert fired == ["far"]

@@ -24,7 +24,11 @@ from repro.verify.incremental import (
     CheckStats,
     check_scenario_incremental,
 )
-from repro.verify.interleave import interleaving_count
+from repro.verify.interleave import (
+    AccessSpec,
+    enumerate_interleavings,
+    interleaving_count,
+)
 from repro.verify.model_check import check_scenario, make_harness
 from repro.verify.synth import verify_method_under_k_faults
 
@@ -138,6 +142,20 @@ def test_finished_check_leaves_no_cyclic_garbage(scenario):
     gc.disable()
     try:
         check_scenario_incremental(scenario)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_enumerating_interleavings_leaves_no_cyclic_garbage():
+    """The tuple enumerator (the shrinker's and the proof's) frees
+    everything it built by reference counting, like the shared one."""
+    streams = [[AccessSpec(pid, "store", 0, 0), AccessSpec(pid, "load", 8)]
+               for pid in (1, 2)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_interleavings(streams))) == 6
         assert gc.collect() == 0
     finally:
         gc.enable()
