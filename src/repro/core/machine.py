@@ -33,7 +33,7 @@ from ..hw.mmu import Mmu
 from ..hw.nic import Fabric, GlobalAddressMap, NetworkInterface
 from ..hw.tlb import Tlb
 from ..hw.writebuffer import WriteBuffer
-from ..obs.metrics import MetricsSampler
+from ..obs.metrics import MetricsSampler, SourceFn
 from ..obs.spans import SpanTracer
 from ..os.costs import OsCosts
 from ..os.kernel import Kernel
@@ -48,6 +48,25 @@ from .timing import ALPHA3000_TURBOCHANNEL, MachineTiming
 
 #: Name of the PAL call installed for the §2.7 method.
 PAL_DMA_FUNCTION = "user_level_dma"
+
+
+def _engine_gauges(nic: NetworkInterface, sim: Simulator) -> SourceFn:
+    """Engine and simulator activity gauges for the metrics sampler.
+
+    A source over the components, not the workstation: a bound method
+    of the workstation would make the workstation reach itself.
+    """
+    def gauges() -> "dict[str, float]":
+        return {
+            "engine.transfers_started":
+                float(nic.transfer_engine.transfers_started),
+            "engine.bytes_moved": float(nic.transfer_engine.bytes_moved),
+            "engine.initiations": float(len(nic.initiations)),
+            "engine.protocol_violations": float(nic.protocol_violations),
+            "engine.remote_sends": float(nic.remote_sends),
+            "sim.events_fired": float(sim.events_fired),
+        }
+    return gauges
 
 
 @dataclass
@@ -114,12 +133,6 @@ class Workstation:
         self.spans = SpanTracer(clock=self.sim.time_source(),
                                 enabled=cfg.spans_enabled,
                                 max_spans=200_000)
-        #: Time-series sampler over the stat registry and engine gauges;
-        #: pull-based — the API layer calls ``self.metrics.poll()``.
-        self.metrics = MetricsSampler(
-            clock=self.sim.time_source(),
-            sources=[self._stat_gauges, self._engine_gauges],
-            interval=cfg.metrics_interval)
         self.cpu_clock = Clock("cpu", timing.cpu_hz)
 
         self.ram = PhysicalMemory(cfg.ram_size)
@@ -136,6 +149,12 @@ class Workstation:
             startup=timing.dma_startup, page_bounded=cfg.page_bounded,
             spans=self.spans)
         self.bus.attach(self.nic, layout.window_base, layout.window_size)
+        #: Time-series sampler over the stat registry and engine gauges;
+        #: pull-based — the API layer calls ``self.metrics.poll()``.
+        self.metrics = MetricsSampler(
+            clock=self.sim.time_source(),
+            sources=[self.stats.snapshot, _engine_gauges(self.nic, self.sim)],
+            interval=cfg.metrics_interval)
 
         self.atomic_unit: Optional[AtomicUnit] = None
         if cfg.atomic_mode is not None:
@@ -229,28 +248,6 @@ class Workstation:
             self.sim.run()
         else:
             self.sim.run_until(self.sim.now + timeout)
-
-    # ------------------------------------------------------------------
-    # metrics sources
-    # ------------------------------------------------------------------
-
-    def _stat_gauges(self) -> "dict[str, float]":
-        """Every StatRegistry counter and latency, as sampler gauges."""
-        return self.stats.snapshot()
-
-    def _engine_gauges(self) -> "dict[str, float]":
-        """Engine and simulator activity gauges for the sampler."""
-        return {
-            "engine.transfers_started":
-                float(self.nic.transfer_engine.transfers_started),
-            "engine.bytes_moved":
-                float(self.nic.transfer_engine.bytes_moved),
-            "engine.initiations": float(len(self.nic.initiations)),
-            "engine.protocol_violations":
-                float(self.nic.protocol_violations),
-            "engine.remote_sends": float(self.nic.remote_sends),
-            "sim.events_fired": float(self.sim.events_fired),
-        }
 
     # ------------------------------------------------------------------
 

@@ -19,8 +19,8 @@ per ``target.kind``) and, when the machine's span tracer is enabled,
 recorded as an instant ``fault.<target>.<kind>`` span, so experiments
 can correlate observed retries with the faults that caused them.
 
-The injector mutates only *instance* attributes (bound-method shadowing
-on the bus and fabric, a hook slot on the transfer engine), so
+The injector mutates only *instance* attributes (wrappers over the bus
+and fabric methods, a hook slot on the transfer engine), so
 :meth:`detach` restores the machine exactly.
 """
 
@@ -37,6 +37,27 @@ from ..sim.engine import Simulator
 from ..sim.stats import StatRegistry
 from ..units import Time
 from .plan import BITFLIP, DELAY, DROP, DUPLICATE, REORDER, FaultPlan
+
+
+def _interpose(target: Any,
+               **wrappers: Callable[..., Any]) -> Callable[[], None]:
+    """Set *wrappers* as instance attributes of *target*; return the undo.
+
+    The undo puts back exactly the instance attributes there were: it
+    deletes the ones this added, so the class's methods show through
+    again.  Assigning the saved bound methods back instead would leave
+    *target* holding methods bound to itself, a reference cycle.
+    """
+    own = vars(target)
+    shadowed = {name: own[name] for name in wrappers if name in own}
+    own.update(wrappers)
+
+    def undo() -> None:
+        for name in wrappers:
+            del own[name]
+        own.update(shadowed)
+
+    return undo
 
 
 class Injector:
@@ -97,14 +118,8 @@ class Injector:
                 return orig_write(paddr, value, ctx)
             return self._faulted_write(bus, orig_write, paddr, value, ctx)
 
-        bus.read_word = read_word  # type: ignore[method-assign]
-        bus.write_word = write_word  # type: ignore[method-assign]
-
-        def undo() -> None:
-            bus.read_word = orig_read  # type: ignore[method-assign]
-            bus.write_word = orig_write  # type: ignore[method-assign]
-
-        self._undo.append(undo)
+        self._undo.append(_interpose(bus, read_word=read_word,
+                                     write_word=write_word))
 
     def attach_transfer_engine(self, engine: DmaTransferEngine) -> None:
         """Interpose on DMA completion events of *engine*."""
@@ -126,12 +141,7 @@ class Injector:
             self._faulted_send(orig_send, src_node, dst_node, pdst_local,
                                payload)
 
-        fabric.send_write = send_write
-
-        def undo() -> None:
-            fabric.send_write = orig_send
-
-        self._undo.append(undo)
+        self._undo.append(_interpose(fabric, send_write=send_write))
 
     def detach(self) -> None:
         """Flush held operations and restore every wrapped component."""

@@ -13,6 +13,7 @@ returns the bytes still to be transferred, reaching 0 at completion.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -38,7 +39,7 @@ FaultHookFn = Callable[["Transfer"], Optional[Tuple[str, "Time"]]]
 NEVER_DURATION: Time = 1 << 60
 
 
-@dataclass
+@dataclass(slots=True)
 class Transfer:
     """One in-flight or completed DMA transfer.
 
@@ -202,19 +203,28 @@ class DmaTransferEngine:
                 span.set(fault="drop")
             return transfer
 
+        # The queued event names this engine weakly: the engine holds
+        # the simulator, so a strong reference would keep a dropped
+        # machine or checker harness alive until the cyclic collector
+        # ran.  A completion whose engine is gone does nothing.
+        engine_ref = weakref.ref(self)
+
         def complete() -> None:
-            if self._undo is not None:
-                self._j_scalars()
-                self._undo.record_call(self._uncomplete, transfer)
-            self._mover(psrc, pdst, size)
+            engine = engine_ref()
+            if engine is None:
+                return
+            if engine._undo is not None:
+                engine._j_scalars()
+                engine._undo.record_call(engine._uncomplete, transfer)
+            engine._mover(psrc, pdst, size)
             transfer.completed = True
-            self.bytes_moved += size
-            self._fp_hist = ()
-            self.flips += 1
+            engine.bytes_moved += size
+            engine._fp_hist = ()
+            engine.flips += 1
             # A duplicated completion re-runs the mover; the span must
             # close exactly once.
             if span is not None and not span.closed:
-                self.spans.end(span, outcome="completed")
+                engine.spans.end(span, outcome="completed")
             if on_complete is not None:
                 on_complete(transfer)
 

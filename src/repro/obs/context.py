@@ -26,7 +26,7 @@ from ..errors import ObservabilityError
 from .spans import Span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """The identity one request carries across process boundaries.
 

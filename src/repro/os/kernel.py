@@ -23,6 +23,7 @@ context-switch hooks are fully timed.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterator, List, Optional
 
 from ..errors import KernelError, PageFault, ProtectionFault
@@ -531,10 +532,18 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _register_syscalls(self) -> None:
-        self.cpu.register_syscall("dma", self._sys_dma)
-        self.cpu.register_syscall("atomic_add", self._sys_atomic_add)
-        self.cpu.register_syscall("atomic_fas", self._sys_atomic_fas)
-        self.cpu.register_syscall("atomic_cas", self._sys_atomic_cas)
+        # The CPU calls back into this kernel through a weak proxy:
+        # bound methods would make the kernel and its CPU a reference
+        # cycle, which only the cyclic garbage collector frees.
+        kernel = weakref.proxy(self)
+        register = self.cpu.register_syscall
+        register("dma", lambda thread, cpu: kernel._sys_dma(thread, cpu))
+        register("atomic_add",
+                 lambda thread, cpu: kernel._sys_atomic_add(thread, cpu))
+        register("atomic_fas",
+                 lambda thread, cpu: kernel._sys_atomic_fas(thread, cpu))
+        register("atomic_cas",
+                 lambda thread, cpu: kernel._sys_atomic_cas(thread, cpu))
 
     def _sys_dma(self, thread: Thread, cpu: Cpu) -> int:
         """The Fig. 1 kernel-level DMA: translate, check, poke registers."""

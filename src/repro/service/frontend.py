@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
@@ -153,9 +154,12 @@ class DmaService:
         #: The front end's own span tracer.  Its clock is the service
         #: tick converted to simulated picoseconds, so frontend spans
         #: (admission, queue wait) share a time axis with shard spans
-        #: in the merged fleet trace.
-        self._tick_ps = int(1e12) // cfg.tick_hz
-        self.spans = SpanTracer(clock=lambda: self.tick * self._tick_ps,
+        #: in the merged fleet trace.  The clock reads the service
+        #: through a weak proxy, so a finished service is freed by
+        #: reference counting.
+        tick_ps = int(1e12) // cfg.tick_hz
+        service = weakref.proxy(self)
+        self.spans = SpanTracer(clock=lambda: service.tick * tick_ps,
                                 enabled=cfg.spans_enabled,
                                 max_spans=200_000)
         #: Burn-rate SLO evaluation, one observe() per closed window.
@@ -465,20 +469,44 @@ async def handle_connection(service: DmaService,
     """One client connection: a request object per line, completions out.
 
     ``{"op": "stats"}`` returns the service snapshot instead.  A line
-    that is not valid JSON, not a well-typed request, or names a shard
-    out of range gets an ``{"error": ...}`` reply, and the connection
-    stays open for the next line.
+    that is not valid JSON, not a well-typed request, names a shard out
+    of range, or is longer than the reader's limit gets an
+    ``{"error": ...}`` reply, and the connection stays open for the
+    next line.  A peer that resets the connection ends it quietly.
     """
     try:
         while True:
-            line = await reader.readline()
-            if not line:
+            line = await _read_line(reader)
+            if line == b"":
                 break
-            response = await _respond(service, line)
+            response = (await _respond(service, line) if line is not None
+                        else {"error": "request line too long"})
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
+    except ConnectionError:
+        pass  # the peer reset the connection: no one is left to answer
     finally:
         writer.close()
+
+
+async def _read_line(reader: "asyncio.StreamReader") -> Optional[bytes]:
+    """The next line; ``b""`` at end of input.
+
+    A line longer than the reader's limit is discarded through its
+    newline, a buffer at a time, and read as None: the next line is
+    then the peer's next request, however the long one arrived.
+    """
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of input, maybe without a newline
+        except asyncio.LimitOverrunError as exc:
+            overrun = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if overrun else line
 
 
 async def _respond(service: DmaService, line: bytes) -> Dict[str, Any]:
@@ -525,10 +553,12 @@ async def serve_forever(config: Optional[ServiceConfig] = None,
     async def _handler(reader: "asyncio.StreamReader",
                        writer: "asyncio.StreamWriter") -> None:
         nonlocal served
-        await handle_connection(service, reader, writer)
-        served += 1
-        if max_connections is not None and served >= max_connections:
-            done.set()
+        try:
+            await handle_connection(service, reader, writer)
+        finally:
+            served += 1
+            if max_connections is not None and served >= max_connections:
+                done.set()
 
     async def _tick_driver() -> None:
         while True:

@@ -42,7 +42,7 @@ _WIRE_FIELDS: Dict[str, Tuple[Tuple[type, ...], str]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """One tenant operation.
 
@@ -119,7 +119,7 @@ class Request:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completion:
     """The outcome of one request.
 

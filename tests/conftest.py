@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+from typing import Iterator
+
 import pytest
 
 from repro.core.api import DmaChannel
@@ -63,6 +67,19 @@ def drop_fingerprint_caches(harness) -> None:
     engine._init_fp = ()
     engine.transfer_engine._fp_hist = ()
     harness.sim._sig = None
+
+
+@contextlib.contextmanager
+def assert_no_cyclic_garbage() -> Iterator[None]:
+    """Assert that the body frees everything it drops by reference
+    counting: with the cyclic collector off, nothing is left for it."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def build_workstation(method: str = "keyed", **overrides) -> Workstation:

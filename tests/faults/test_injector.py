@@ -95,6 +95,20 @@ def test_detach_restores_the_machine(make_rig):
     assert injector.plan.total_fired == 0
 
 
+def test_injector_detach_restores_the_bus(make_rig):
+    """Detach deletes the wrappers rather than pinning the class's bound
+    methods on the instance, which would make the bus reach itself."""
+    rig = make_rig()
+    first = attach(rig, FaultRule(kind=DROP, target="store", nth=1, count=1))
+    second = attach(rig, FaultRule(kind=DROP, target="load", nth=1, count=1))
+    wrapped = dict(vars(rig.ws.bus))
+    second.detach()
+    assert vars(rig.ws.bus)["read_word"] is not wrapped["read_word"]
+    first.detach()
+    assert "read_word" not in vars(rig.ws.bus)
+    assert "write_word" not in vars(rig.ws.bus)
+
+
 def test_injection_is_replayable(make_rig):
     def fired_pattern():
         rig = make_rig()

@@ -2,10 +2,14 @@
 
 import asyncio
 import json
+import socket
+import struct
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.hw.dma.transfer import Transfer
+from repro.obs.context import TraceContext
 from repro.service.admission import (
     REASON_BACKPRESSURE,
     REASON_SHARD_FULL,
@@ -14,10 +18,11 @@ from repro.service.admission import (
 from repro.service.frontend import (
     DmaService,
     ServiceConfig,
+    handle_connection,
     serve_forever,
     shard_of,
 )
-from repro.service.requests import OUTCOME_REJECTED, Request
+from repro.service.requests import OUTCOME_REJECTED, Completion, Request
 
 
 def run(coro):
@@ -240,6 +245,83 @@ def test_tcp_roundtrip_and_stats():
         assert following["ok"] is True and following["tenant"] == "dave"
 
 
+@pytest.mark.parametrize("length", [70_000, 300_000],
+                         ids=["newline-in-overrun", "newline-after"])
+def test_tcp_over_long_line_gets_an_error_and_the_connection_lives(length):
+    """A line over the reader's 64 KiB limit gets one typed error reply,
+    whether its newline came with the overrun or after it; the valid
+    request sent next on the same connection completes, and the
+    connection counts as served."""
+    async def scenario():
+        ready = asyncio.Event()
+        server = asyncio.get_running_loop().create_task(serve_forever(
+            small_config(shards=1), ready=ready, max_connections=1))
+        await ready.wait()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", ready.port)
+        writer.write(json.dumps({"tenant": "x" * length}).encode() + b"\n")
+        writer.write(json.dumps({"tenant": "alice", "size": 512}).encode()
+                     + b"\n")
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in range(2)]
+        writer.close()
+        await asyncio.wait_for(server, timeout=10)
+        return replies
+
+    too_long, after = run(scenario())
+    assert too_long == {"error": "request line too long"}
+    assert after["ok"] is True and after["tenant"] == "alice"
+
+
+def test_tcp_peer_reset_is_counted_as_served():
+    """A client that resets its connection mid-request ends it quietly:
+    the server counts it and stops at ``max_connections``."""
+    async def scenario():
+        ready = asyncio.Event()
+        server = asyncio.get_running_loop().create_task(serve_forever(
+            small_config(shards=1), ready=ready, max_connections=1))
+        await ready.wait()
+        _, writer = await asyncio.open_connection("127.0.0.1", ready.port)
+        writer.write(json.dumps({"tenant": "alice"}).encode() + b"\n")
+        await writer.drain()
+        # Linger 0: closing sends a reset instead of a FIN.
+        writer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        writer.transport.abort()
+        await asyncio.wait_for(server, timeout=10)
+
+    run(scenario())
+
+
+def test_reset_during_drain_ends_the_connection_quietly():
+    class ResetWriter:
+        closed = False
+
+        def write(self, data):
+            pass
+
+        async def drain(self):
+            raise ConnectionResetError("peer reset")
+
+        def close(self):
+            self.closed = True
+
+    async def scenario():
+        service = DmaService(small_config(shards=1))
+        await service.start()
+        reader = asyncio.StreamReader()
+        reader.feed_data(b'{"tenant": "alice"}\n{"tenant": "bob"}\n')
+        reader.feed_eof()
+        writer = ResetWriter()
+        await handle_connection(service, reader, writer)
+        await service.shutdown()
+        return service, writer
+
+    service, writer = run(scenario())
+    assert writer.closed
+    assert [c.request.tenant for c in service.completions] == ["alice"]
+
+
 def test_full_shard_rejects_with_a_reason_and_keeps_serving():
     """1,100 distinct tenants aimed at one shard: all complete, the
     77 past its capacity as typed rejections that reach telemetry."""
@@ -296,6 +378,19 @@ def test_tcp_client_keeps_its_connection_past_a_full_shard():
     assert again["ok"] is True
     assert stats["telemetry"]["rejected"] == 77
     assert stats["shards"][0]["tenants"] == 1023
+
+
+def test_per_request_records_have_no_instance_dict():
+    """The service keeps every completion, with its request and trace
+    context, and the machine every transfer: each is slotted."""
+    trace = TraceContext(trace_id="t1")
+    request = Request(tenant="a", trace=trace)
+    records = [trace, request, Completion(request=request, ok=True,
+                                          outcome="completed"),
+               Transfer(psrc=0, pdst=4096, size=64, started_at=0,
+                        duration=1)]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_service_config_validation():

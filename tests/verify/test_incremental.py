@@ -9,11 +9,9 @@ transposition table on or off.
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
-from tests.conftest import drop_fingerprint_caches
+from tests.conftest import assert_no_cyclic_garbage, drop_fingerprint_caches
 
 import repro.verify.incremental as incremental
 from repro.errors import VerificationError
@@ -138,13 +136,8 @@ def test_finished_check_leaves_no_cyclic_garbage(scenario):
     """A finished check frees its harness and memo table by reference
     counting: nothing is left for the cyclic garbage collector."""
     check_scenario_incremental(scenario)  # warm imports and caches
-    gc.collect()
-    gc.disable()
-    try:
+    with assert_no_cyclic_garbage():
         check_scenario_incremental(scenario)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_enumerating_interleavings_leaves_no_cyclic_garbage():
@@ -152,10 +145,5 @@ def test_enumerating_interleavings_leaves_no_cyclic_garbage():
     everything it built by reference counting, like the shared one."""
     streams = [[AccessSpec(pid, "store", 0, 0), AccessSpec(pid, "load", 8)]
                for pid in (1, 2)]
-    gc.collect()
-    gc.disable()
-    try:
+    with assert_no_cyclic_garbage():
         assert len(list(enumerate_interleavings(streams))) == 6
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
