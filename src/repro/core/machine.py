@@ -61,7 +61,7 @@ def _engine_gauges(nic: NetworkInterface, sim: Simulator) -> SourceFn:
             "engine.transfers_started":
                 float(nic.transfer_engine.transfers_started),
             "engine.bytes_moved": float(nic.transfer_engine.bytes_moved),
-            "engine.initiations": float(len(nic.initiations)),
+            "engine.initiations": float(nic.initiation_count),
             "engine.protocol_violations": float(nic.protocol_violations),
             "engine.remote_sends": float(nic.remote_sends),
             "sim.events_fired": float(sim.events_fired),
@@ -248,6 +248,19 @@ class Workstation:
             self.sim.run()
         else:
             self.sim.run_until(self.sim.now + timeout)
+
+    def drop_records(self) -> None:
+        """Fold the per-operation records of the DMA engine, its
+        transfer engine and the atomic unit into their counts.
+
+        For a machine that serves indefinitely: call it when nothing is
+        in flight, and memory stays flat however long the machine runs.
+        :func:`repro.core.report.machine_stats` and the metrics gauges
+        report the same counts afterwards.
+        """
+        self.nic.drop_records()
+        if self.atomic_unit is not None:
+            self.atomic_unit.drop_records()
 
     # ------------------------------------------------------------------
 

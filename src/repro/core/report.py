@@ -28,8 +28,9 @@ def machine_stats(ws: Workstation) -> Dict[str, float]:
     stats["wb.stores_collapsed"] = float(
         ws.write_buffer.stores_collapsed)
     stats["wb.loads_forwarded"] = float(ws.write_buffer.loads_forwarded)
-    stats["dma.initiations"] = float(len(ws.engine.initiations))
-    stats["dma.started"] = float(len(ws.engine.started_transfers()))
+    stats["dma.initiations"] = float(ws.engine.initiation_count)
+    stats["dma.started"] = float(
+        ws.engine.transfer_engine.transfers_started)
     stats["dma.rejected"] = (stats["dma.initiations"]
                              - stats["dma.started"])
     stats["dma.bytes_moved"] = float(
@@ -39,7 +40,7 @@ def machine_stats(ws: Workstation) -> Dict[str, float]:
     stats["dma.remote_sends"] = float(ws.engine.remote_sends)
     if ws.atomic_unit is not None:
         stats["atomic.operations"] = float(
-            len(ws.atomic_unit.operations))
+            ws.atomic_unit.operation_count)
         stats["atomic.key_rejections"] = float(
             ws.atomic_unit.key_rejections)
     return stats

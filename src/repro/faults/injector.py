@@ -21,11 +21,17 @@ can correlate observed retries with the faults that caused them.
 
 The injector mutates only *instance* attributes (wrappers over the bus
 and fabric methods, a hook slot on the transfer engine), so
-:meth:`detach` restores the machine exactly.
+:meth:`detach` restores the machine exactly.  The component keeps its
+wrappers and they keep the injector, so nothing on the injector's side
+holds the component strongly: an injector attached and never detached
+does not keep its machine in a reference cycle.  A component freed
+before :meth:`detach` has nothing left to restore; detaching skips it.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..hw.bus import Bus
@@ -39,21 +45,52 @@ from ..units import Time
 from .plan import BITFLIP, DELAY, DROP, DUPLICATE, REORDER, FaultPlan
 
 
+def _weak(target: Any) -> Any:
+    """A weak proxy of *target* (*target* itself if it is one)."""
+    if isinstance(target, weakref.ProxyTypes):
+        return target
+    return weakref.proxy(target)
+
+
+def _original(target: Any, name: str) -> Callable[..., Any]:
+    """What ``target.<name>(...)`` calls now, for a wrapper stored on
+    *target* (a weak proxy): unlike a bound method, it holds *target*
+    only weakly."""
+    own = vars(target).get(name)
+    if own is not None:
+        return own
+    return functools.partial(getattr(target.__class__, name), target)
+
+
+def _if_alive(step: Callable[[], None]) -> None:
+    """Run *step*, which reaches a component through a weak proxy; a
+    component already freed has nothing to deliver to or restore."""
+    try:
+        step()
+    except ReferenceError:
+        pass
+
+
 def _interpose(target: Any,
                **wrappers: Callable[..., Any]) -> Callable[[], None]:
-    """Set *wrappers* as instance attributes of *target*; return the undo.
+    """Set *wrappers* as instance attributes of *target* (a weak proxy);
+    return the undo.
 
     The undo puts back exactly the instance attributes there were: it
     deletes the ones this added, so the class's methods show through
     again.  Assigning the saved bound methods back instead would leave
-    *target* holding methods bound to itself, a reference cycle.
+    *target* holding methods bound to itself, a reference cycle.  The
+    undo reaches *target* only through the proxy and keeps the
+    wrappers' names, not the wrappers (which hold the injector).
     """
     own = vars(target)
     shadowed = {name: own[name] for name in wrappers if name in own}
     own.update(wrappers)
+    names = tuple(wrappers)
 
     def undo() -> None:
-        for name in wrappers:
+        own = vars(target)
+        for name in names:
             del own[name]
         own.update(shadowed)
 
@@ -104,8 +141,9 @@ class Injector:
 
     def attach_bus(self, bus: Bus) -> None:
         """Interpose on device-window reads and writes of *bus*."""
-        orig_read = bus.read_word
-        orig_write = bus.write_word
+        bus = _weak(bus)
+        orig_read = _original(bus, "read_word")
+        orig_write = _original(bus, "write_word")
 
         def read_word(paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
             if bus.find_window(paddr) is None:
@@ -123,6 +161,7 @@ class Injector:
 
     def attach_transfer_engine(self, engine: DmaTransferEngine) -> None:
         """Interpose on DMA completion events of *engine*."""
+        engine = _weak(engine)
         previous = engine.fault_hook
 
         def hook(transfer: Transfer) -> Optional[Tuple[str, Time]]:
@@ -134,7 +173,8 @@ class Injector:
 
     def attach_fabric(self, fabric: Any) -> None:
         """Interpose on remote-write packets of *fabric*."""
-        orig_send = fabric.send_write
+        fabric = _weak(fabric)
+        orig_send = _original(fabric, "send_write")
 
         def send_write(src_node: int, dst_node: int, pdst_local: int,
                        payload: bytes) -> None:
@@ -144,18 +184,17 @@ class Injector:
         self._undo.append(_interpose(fabric, send_write=send_write))
 
     def detach(self) -> None:
-        """Flush held operations and restore every wrapped component."""
+        """Flush held operations and restore every wrapped component
+        (one that has already been freed is skipped)."""
         self.flush()
         while self._undo:
-            self._undo.pop()()
+            _if_alive(self._undo.pop())
 
     def flush(self) -> None:
-        """Deliver any store/packet currently held back by REORDER."""
-        self._flush_held_store()
-        if self._held_packet is not None:
-            send, packet_args = self._held_packet
-            self._held_packet = None
-            send(*packet_args)
+        """Deliver any store/packet currently held back by REORDER (to a
+        component that has not been freed)."""
+        _if_alive(self._flush_held_store)
+        _if_alive(self._flush_held_packet)
 
     # ------------------------------------------------------------------
     # per-target fault application

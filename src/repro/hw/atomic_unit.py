@@ -227,6 +227,8 @@ class AtomicUnit(MmioDevice):
                          for i in range(self.layout.n_contexts)]
         self.key_table: Dict[int, int] = {}
         self.operations: List[AtomicRecord] = []
+        #: Operations whose records :meth:`drop_records` folded away.
+        self.operations_dropped = 0
         self.key_rejections = 0
         self.protocol_violations = 0
         self._control = {REG_TARGET: 0, REG_OPERAND: 0, REG_OPERAND2: 0,
@@ -459,6 +461,17 @@ class AtomicUnit(MmioDevice):
         context.owner_pid = pid
         return context
 
+    @property
+    def operation_count(self) -> int:
+        """Operations executed, dropped records included."""
+        return self.operations_dropped + len(self.operations)
+
+    def drop_records(self) -> None:
+        """Fold the operation records into :attr:`operation_count` (a
+        machine that runs indefinitely, between operations)."""
+        self.operations_dropped += len(self.operations)
+        self.operations.clear()
+
     def reset(self) -> None:
         """Power-on reset."""
         for context in self.contexts:
@@ -466,6 +479,7 @@ class AtomicUnit(MmioDevice):
             context.owner_pid = None
         self.key_table.clear()
         self.operations.clear()
+        self.operations_dropped = 0
         self.key_rejections = 0
         self.protocol_violations = 0
         self._control = {REG_TARGET: 0, REG_OPERAND: 0, REG_OPERAND2: 0,

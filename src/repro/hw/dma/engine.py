@@ -18,7 +18,9 @@ One MMIO device implements everything the paper's prototype board did:
 Every accepted or rejected initiation is recorded in
 :attr:`DmaEngine.initiations` with the issuing process id — bookkeeping
 the verification layer uses to check the paper's safety properties.  The
-protocols themselves never see it.
+protocols themselves never see it.  A machine that runs indefinitely
+folds the records into counts between operations
+(:meth:`DmaEngine.drop_records`); a checker harness keeps them.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class DmaEngine(MmioDevice):
         self.mapout_table: Dict[int, int] = {}
         self.current_pid: int = -1
         self.initiations: List[InitiationRecord] = []
+        #: Initiations whose records :meth:`drop_records` folded away.
+        self.initiations_dropped = 0
         self.protocol_violations = 0
         self.page_bounded = page_bounded
         self.oversize_rejections = 0
@@ -425,8 +429,29 @@ class DmaEngine(MmioDevice):
         return transfer.remaining(self.sim.now)
 
     def started_transfers(self) -> List[InitiationRecord]:
-        """All successful initiations, in order."""
+        """All successful initiations still recorded, in order."""
         return [r for r in self.initiations if r.ok]
+
+    @property
+    def initiation_count(self) -> int:
+        """Initiations that reached the start logic, dropped ones too."""
+        return self.initiations_dropped + len(self.initiations)
+
+    def drop_records(self) -> None:
+        """Fold the initiation and transfer records into counts.
+
+        A machine that runs indefinitely (a service shard) calls this
+        between operations, with nothing in flight, so its memory does
+        not grow with the work it has done; :attr:`initiation_count`
+        and the transfer engine's counters (``transfers_started`` counts
+        the successful initiations) still include what was dropped.  A
+        checker harness never drops: its undo journal and fingerprints
+        read the records.
+        """
+        self.initiations_dropped += len(self.initiations)
+        self.initiations.clear()
+        self._init_fp = ()
+        self.transfer_engine.drop_records()
 
     def _valid_endpoint(self, paddr: int, size: int) -> bool:
         """Whether [paddr, paddr+size) is a legal transfer destination.
@@ -622,6 +647,9 @@ class DmaEngine(MmioDevice):
         self.mapout_table.clear()
         self._tables_fp = None
         self.current_pid = -1
+        # The records go; their count stays, like the transfer engine's
+        # transfers_started and bytes_moved, which a reset keeps.
+        self.initiations_dropped += len(self.initiations)
         self.initiations.clear()
         self._init_fp = ()
         self.protocol_violations = 0

@@ -151,6 +151,14 @@ class DmaTransferEngine:
         self._fp_hist = ()
         self.flips += 1
 
+    def drop_records(self) -> None:
+        """Forget the transfer history (see
+        :meth:`~repro.hw.dma.engine.DmaEngine.drop_records`);
+        :attr:`transfers_started` and :attr:`bytes_moved` still count
+        every transfer."""
+        self.history.clear()
+        self._fp_hist = ()
+
     def duration_of(self, size: int) -> Time:
         """Modelled duration of a *size*-byte transfer."""
         return self.startup + transfer_time(size, self.bandwidth_bps)

@@ -15,6 +15,7 @@ manager.
 
 from __future__ import annotations
 
+import functools
 import mmap
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -39,9 +40,24 @@ LAZY_ZERO_MIN_BYTES = 1 << 20
 def ramp(start: int, step: int, nbytes: int) -> bytes:
     """The test pattern ``bytes((start + step*i) % 256 for i in range(nbytes))``.
 
-    The sequence repeats every 256 bytes, so only one period is built
-    byte by byte; the rest is repetition and slicing done in C.
+    The pattern depends only on ``start % 256``, ``step % 256`` and
+    *nbytes*, and is immutable, so callers share one object per
+    distinct pattern (up to :data:`RAMP_CACHE_SIZE` of them): a service
+    shard's tenants hold 256 sources and 256 canaries between them, not
+    two private copies each.
     """
+    return _ramp(start % 256, step % 256, nbytes)
+
+
+#: Distinct ramps kept for sharing: a service shard's tenant sources
+#: (step 1) and canaries (step 13) are 256 patterns each.
+RAMP_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=RAMP_CACHE_SIZE)
+def _ramp(start: int, step: int, nbytes: int) -> bytes:
+    # The sequence repeats every 256 bytes, so only one period is built
+    # byte by byte; the rest is repetition and slicing done in C.
     period = bytes([(start + step * i) % 256 for i in range(256)])
     return (period * (nbytes // 256 + 1))[:nbytes]
 

@@ -6,10 +6,15 @@ implements the :class:`~repro.hw.nic.Fabric` protocol their NICs use to
 deliver remote writes.  Topology is a full mesh by default — every node
 pair gets its own link of the configured class — matching the switched
 point-to-point networks (ATM, Myrinet, Telegraphos) the paper targets.
+
+The nodes and the messages in flight reach the cluster only weakly, so a
+dropped cluster is freed by reference counting: keep the cluster alive
+while its nodes are in use.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..core.machine import MachineConfig, Workstation
@@ -31,6 +36,12 @@ class Cluster:
         self.sim = Simulator()
         self.link_spec = link_spec
         base = config if config is not None else MachineConfig()
+        # The nodes' fabric is a weak proxy: cluster -> nodes -> NICs ->
+        # cluster would otherwise be a reference cycle.  So is what a
+        # queued delivery calls: it waits on the cluster's own simulator.
+        fabric = weakref.proxy(self)
+        self._deliver_weakly = (
+            lambda message, cluster=fabric: cluster._deliver(message))
         self.nodes: List[Workstation] = []
         for node_id in range(n_nodes):
             node_config = MachineConfig(
@@ -39,7 +50,7 @@ class Cluster:
                 seed=base.seed + node_id,
                 relaxed_write_buffer=base.relaxed_write_buffer,
                 node_id=node_id, atomic_mode=base.atomic_mode)
-            self.nodes.append(Workstation(node_config, fabric=self,
+            self.nodes.append(Workstation(node_config, fabric=fabric,
                                           sim=self.sim))
         self._links: Dict[Tuple[int, int], Link] = {}
         for a in range(n_nodes):
@@ -65,7 +76,7 @@ class Cluster:
         message = Message(src_node=src_node, dst_node=dst_node,
                           pdst_local=pdst_local, payload=payload,
                           sent_at=self.sim.now)
-        link.send(message, self._deliver)
+        link.send(message, self._deliver_weakly)
 
     def node_ram(self, node: int) -> PhysicalMemory:
         """The RAM of *node* (destination validation by sending NICs)."""

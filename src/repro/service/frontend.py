@@ -124,7 +124,12 @@ def _traced(request: Request, trace: TraceContext) -> Request:
 
 
 class DmaService:
-    """The always-on multi-tenant DMA service."""
+    """The always-on multi-tenant DMA service.
+
+    The service keeps nothing from a request once its future has
+    resolved, so its memory stays flat however long it serves.  A
+    caller that wants the completions keeps the futures.
+    """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config if config is not None else ServiceConfig()
@@ -172,7 +177,6 @@ class DmaService:
         self._started = False
         self.tick = 0
         self._next_req_id = 0
-        self.completions: List[Completion] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -195,30 +199,33 @@ class DmaService:
         queue = self._queues[index]
         shard = self.shards[index]
         while True:
-            job = await queue.get()
-            try:
-                if job.queued is not None:
-                    self.spans.end(job.queued)
-                done = shard.execute(job.request)
-                completion = Completion(
-                    request=done.request, ok=done.ok, outcome=done.outcome,
-                    latency_us=done.latency_us, attempts=done.attempts,
-                    fell_back=done.fell_back, shard=done.shard,
-                    bytes_moved=done.bytes_moved, finished_tick=self.tick,
-                    reason=done.reason)
-                self._complete(job, completion)
-            except Exception as exc:  # pragma: no cover - defensive
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            finally:
-                queue.task_done()
+            # The job goes straight to _execute: a local here would keep
+            # the last request and its completion alive until the next.
+            self._execute(shard, await queue.get())
+            queue.task_done()
+
+    def _execute(self, shard: ServiceShard, job: _Job) -> None:
+        """Run one dequeued job on *shard* and resolve its future."""
+        try:
+            if job.queued is not None:
+                self.spans.end(job.queued)
+            done = shard.execute(job.request)
+            completion = Completion(
+                request=done.request, ok=done.ok, outcome=done.outcome,
+                latency_us=done.latency_us, attempts=done.attempts,
+                fell_back=done.fell_back, shard=done.shard,
+                bytes_moved=done.bytes_moved, finished_tick=self.tick,
+                reason=done.reason)
+            self._complete(job, completion)
+        except Exception as exc:  # pragma: no cover - defensive
+            if not job.future.done():
+                job.future.set_exception(exc)
 
     def _complete(self, job: _Job, completion: Completion) -> None:
         if job.root is not None:
             self.spans.end(job.root, outcome=completion.outcome,
                            ok=completion.ok)
         self.telemetry.record(completion)
-        self.completions.append(completion)
         if not job.future.done():
             job.future.set_result(completion)
 

@@ -28,6 +28,15 @@ OUTCOME_ABORTED = "aborted"
 OUTCOME_WRONG_DATA = "wrong-data"
 OUTCOME_REJECTED = "rejected"
 
+#: Largest single transfer (one page — the page-bounded engine's limit).
+#: A wire request asking for more is refused; an in-process request is
+#: clamped to it by the shard.
+MAX_TRANSFER_BYTES = 4096
+#: Longest tenant name a wire request may carry.  Every name is kept
+#: for the life of the service (its process, its counters), so a
+#: client must not choose how much memory one costs.
+MAX_TENANT_NAME = 64
+
 #: Wire-format fields: the exact JSON types each accepts (so a JSON
 #: ``true`` is never an integer) and how an error message names them.
 _WIRE_FIELDS: Dict[str, Tuple[Tuple[type, ...], str]] = {
@@ -96,7 +105,10 @@ class Request:
 
         Raises:
             ConfigError: for a non-object, a missing tenant, an unknown
-                or mistyped field, or a malformed trace context.
+                or mistyped field, a size over
+                :data:`MAX_TRANSFER_BYTES`, a tenant name over
+                :data:`MAX_TENANT_NAME` characters, or a malformed
+                trace context.
         """
         if not isinstance(data, dict):
             raise ConfigError("a request must be a JSON object")
@@ -110,6 +122,13 @@ class Request:
             if type(value) not in types:
                 raise ConfigError(f"request field {name!r} must be "
                                   f"{expected}, got {type(value).__name__}")
+        if data.get("size", 0) > MAX_TRANSFER_BYTES:
+            raise ConfigError(f"size must be at most {MAX_TRANSFER_BYTES} "
+                              f"bytes, got {data['size']}")
+        if len(data["tenant"]) > MAX_TENANT_NAME:
+            raise ConfigError(f"tenant name must be at most "
+                              f"{MAX_TENANT_NAME} characters, got "
+                              f"{len(data['tenant'])}")
         kwargs = dict(data)
         if "trace" in kwargs:
             try:

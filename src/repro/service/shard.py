@@ -39,6 +39,7 @@ from .requests import (
     KIND_ATOMIC,
     KIND_DMA,
     KIND_MESSAGE,
+    MAX_TRANSFER_BYTES,
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
     OUTCOME_FELL_BACK,
@@ -58,8 +59,6 @@ TENANT_FRAMES = 2 * TENANT_BUFFER_BYTES // PAGE_SIZE
 #: slots) and credit page, the sender's staging slot + tail page and
 #: credit mirror.
 MESSAGE_CHANNEL_FRAMES = 6
-#: Largest single transfer (one page — the page-bounded engine's limit).
-MAX_TRANSFER_BYTES = 4096
 #: Hot-receiver buffer: slots of one page each.
 HOT_SLOT_BYTES = 4096
 
@@ -285,6 +284,9 @@ class ServiceShard:
             else:  # pragma: no cover - Request.__post_init__ rejects these
                 raise KernelError(f"unknown kind {request.kind!r}")
             self.ws.drain()
+            # Quiescent and verified: the machine keeps its counts, not
+            # the request's initiation, transfer and atomic records.
+            self.ws.drop_records()
             spans.end(root, outcome=completion.outcome,
                       attempts=completion.attempts)
         self.requests_executed += 1

@@ -81,10 +81,8 @@ class FleetTelemetry:
         self.tick_hz = tick_hz
         self.window_ticks = window_ticks
         self.history = TrendHistory(max_points=max_points)
-        self._window: List[Completion] = []
         self._exemplars_per_bucket = exemplars
-        self._window_hist = LatencyHistogram(
-            exemplars_per_bucket=exemplars)
+        self._open_window()
         self._run_hist = LatencyHistogram(exemplars_per_bucket=exemplars)
         self._window_end_tick = window_ticks
         #: Per-tenant completed-request counts over the whole run.
@@ -94,15 +92,25 @@ class FleetTelemetry:
         self._failed = 0
         self._rejected = 0
         self._bytes = 0
+        # (completed, failed, rejected, bytes) when the window opened.
+        self._window_base = (0, 0, 0, 0)
         self._last_counters: Dict[str, int] = {"retries": 0, "faults": 0}
 
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
 
+    def _open_window(self) -> None:
+        """Start a trend window.  Its completions are folded into its
+        histogram and per-tenant counts as they are recorded, not kept
+        until it closes: a service whose tick never advances would
+        otherwise keep every one."""
+        self._window_hist = LatencyHistogram(
+            exemplars_per_bucket=self._exemplars_per_bucket)
+        self._w_tenants: Dict[str, int] = {}
+
     def record(self, completion: Completion) -> None:
         """Fold one completion into the current window and the totals."""
-        self._window.append(completion)
         tenant = completion.request.tenant
         if completion.outcome == OUTCOME_REJECTED:
             self._rejected += 1
@@ -119,6 +127,7 @@ class FleetTelemetry:
             self.per_tenant_bytes[tenant] = (
                 self.per_tenant_bytes.get(tenant, 0)
                 + completion.bytes_moved)
+            self._w_tenants[tenant] = self._w_tenants.get(tenant, 0) + 1
         else:
             self._failed += 1
 
@@ -137,30 +146,21 @@ class FleetTelemetry:
             retries: cumulative fleet retry count (delta computed here).
             faults: cumulative faults injected (delta computed here).
         """
-        window = self._window
-        self._window = []
         hist = self._window_hist
-        self._window_hist = LatencyHistogram(
-            exemplars_per_bucket=self._exemplars_per_bucket)
-        completed = [c for c in window
-                     if c.ok and c.outcome != OUTCOME_REJECTED]
-        failed = [c for c in window
-                  if not c.ok and c.outcome != OUTCOME_REJECTED]
-        rejected = [c for c in window if c.outcome == OUTCOME_REJECTED]
-        bytes_moved = sum(c.bytes_moved for c in completed)
+        totals = (self._completed, self._failed, self._rejected,
+                  self._bytes)
+        completed, failed, rejected, bytes_moved = (
+            total - base for total, base in zip(totals, self._window_base))
+        self._window_base = totals
         window_s = self.window_ticks / self.tick_hz
         retry_delta = max(0, retries - self._last_counters["retries"])
         fault_delta = max(0, faults - self._last_counters["faults"])
         self._last_counters = {"retries": retries, "faults": faults}
-        by_tenant: Dict[str, int] = {}
-        for c in completed:
-            by_tenant[c.request.tenant] = (
-                by_tenant.get(c.request.tenant, 0) + 1)
         point = ServiceTrendPoint(
             t_s=tick / self.tick_hz,
-            completed=len(completed),
-            failed=len(failed),
-            rejected=len(rejected),
+            completed=completed,
+            failed=failed,
+            rejected=rejected,
             bytes_moved=bytes_moved,
             goodput_mbytes_per_s=(bytes_moved / window_s / 1e6
                                   if window_s else 0.0),
@@ -169,13 +169,14 @@ class FleetTelemetry:
             p99_us=round(hist.percentile(99.0), 3),
             retries=retry_delta,
             faults=fault_delta,
-            fairness=jain_index(list(by_tenant.values())),
+            fairness=jain_index(list(self._w_tenants.values())),
             queue_depth=(sum(queue_depths) / len(queue_depths)
                          if queue_depths else 0.0),
             p99_exemplars=tuple(e["trace_id"]
                                 for e in hist.exemplars(99.0)),
         )
         self.history.append(point)
+        self._open_window()
         return point
 
     # ------------------------------------------------------------------

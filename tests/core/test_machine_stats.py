@@ -37,6 +37,20 @@ def test_rejections_counted():
     assert stats["dma.rejected"] == 1
 
 
+def test_dma_counts_outlive_an_engine_reset():
+    """A power-on reset scrubs the initiation records, not their
+    count: the started count is the transfer engine's, which a reset
+    keeps, so the rejected count never goes negative."""
+    ws, proc, src, dst, chan = ready_channel("keyed")
+    chan.initiate(src.vaddr, dst.vaddr, 1 << 30)  # too big -> rejected
+    assert chan.dma(src.vaddr, dst.vaddr, 64).ok
+    ws.engine.reset()
+    assert ws.engine.initiations == []
+    stats = machine_stats(ws)
+    assert (stats["dma.initiations"], stats["dma.started"],
+            stats["dma.rejected"]) == (2, 1, 1)
+
+
 def test_atomic_counters_only_with_unit():
     ws = run_some_dmas()
     assert "atomic.operations" not in machine_stats(ws)

@@ -1,9 +1,24 @@
 """Runtime fault injection on a live machine (Injector)."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core.api import DmaChannel
 from repro.faults.injector import Injector
-from repro.faults.plan import DROP, DUPLICATE, BITFLIP, FaultPlan, FaultRule
+from repro.faults.plan import (
+    BITFLIP,
+    DELAY,
+    DROP,
+    DUPLICATE,
+    REORDER,
+    FaultPlan,
+    FaultRule,
+)
 from repro.units import us
+
+from tests.net.test_now import two_node_cluster
 
 from .conftest import TRANSFER_BYTES
 
@@ -137,3 +152,46 @@ def test_fault_records_carry_the_active_trace_context(make_rig):
     assert len(fault_spans) == 1
     assert fault_spans[0].attrs["trace_id"] == "7-00000042"
     assert fault_spans[0].attrs["process"] == "shard0"
+
+
+@pytest.mark.parametrize("kind,deliveries", [
+    (None, 1), (DROP, 0), (DUPLICATE, 2), (DELAY, 1), (REORDER, 1),
+    (BITFLIP, 1)])
+def test_link_faults_on_a_cluster_node(kind, deliveries):
+    """The injector wraps the cluster fabric's packet send: a remote DMA
+    is delivered, or its packet's fault is counted."""
+    cluster, sender_ws, receiver_ws, sender, src, dst, window = (
+        two_node_cluster())
+    payload = bytes(range(64))
+    sender_ws.ram.write(src.paddr, payload)
+    rules = [] if kind is None else [
+        FaultRule(kind=kind, target="link", nth=1, count=1)]
+    injector = Injector(FaultPlan(rules=rules, seed=1),
+                        cluster.sim).attach(sender_ws)
+    assert DmaChannel(sender_ws, sender).dma(src.vaddr, window, 64).ok
+    injector.detach()  # delivers a held (reordered) packet
+    cluster.run_until_quiet()
+    assert cluster.deliveries == deliveries
+    assert injector.plan.total_fired == (kind is not None)
+    if kind is not None:
+        assert injector.stats.counter(f"link.{kind}").value == 1
+    landed = receiver_ws.ram.read(dst.paddr, 64)
+    assert (landed == payload) == (kind not in (DROP, BITFLIP))
+
+
+def test_detach_after_the_machine_is_freed_does_nothing(make_rig):
+    """A reordered packet is held when the cluster is dropped: detach and
+    flush have nothing left to deliver to or restore."""
+    cluster, sender_ws, _, sender, src, _, window = two_node_cluster()
+    injector = Injector(FaultPlan(rules=[
+        FaultRule(kind=REORDER, target="link", nth=1, count=1)], seed=1),
+        cluster.sim).attach(sender_ws)
+    assert DmaChannel(sender_ws, sender).dma(src.vaddr, window, 64).ok
+    rig = make_rig()
+    attach(rig, FaultRule(kind=DROP, target="store", nth=1, count=1))
+    alive = [weakref.ref(cluster), weakref.ref(rig.ws)]
+    del cluster, sender_ws, sender, src, window, rig
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]
+    injector.flush()
+    injector.detach()

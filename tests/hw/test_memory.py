@@ -1,6 +1,8 @@
 """Unit tests for physical memory and the frame allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AddressError, MemoryError_
 from repro.hw.memory import (
@@ -197,3 +199,20 @@ def test_ramp_equals_the_reference_generator(step):
         for nbytes in (0, 1, 255, 256, 257, 8192, 8193):
             assert ramp(start, step, nbytes) == _reference_ramp(
                 start, step, nbytes), (start, step, nbytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(), step=st.integers(),
+       nbytes=st.integers(min_value=-1, max_value=3000))
+def test_memoized_ramp_is_the_per_byte_pattern(start, step, nbytes):
+    assert ramp(start, step, nbytes) == _reference_ramp(start, step, nbytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.integers(), step=st.integers(),
+       shift=st.integers(min_value=-8, max_value=8))
+def test_ramps_that_agree_mod_256_are_one_object(start, step, shift):
+    """Equal patterns are shared, not copied: a service shard's tenants
+    hold 256 sources and 256 canaries between them."""
+    first = ramp(start, step, 8192)
+    assert ramp(start + 256 * shift, step - 256 * shift, 8192) is first

@@ -16,9 +16,18 @@ import weakref
 import pytest
 
 from tests.conftest import assert_no_cyclic_garbage, ready_channel
+from tests.net.test_now import two_node_cluster
 
 import repro.service.soak as soak
-from repro.faults.plan import bernoulli_plan
+from repro.core.api import DmaChannel
+from repro.faults.injector import Injector
+from repro.faults.plan import (
+    DELAY,
+    REORDER,
+    FaultPlan,
+    FaultRule,
+    bernoulli_plan,
+)
 from repro.service.frontend import DmaService, ServiceConfig
 from repro.service.requests import Request
 from repro.service.shard import ServiceShard, ShardConfig
@@ -53,6 +62,55 @@ def workstation_dmas(method):
 @pytest.mark.parametrize("method", METHODS)
 def test_workstation(method):
     warm_then_check(workstation_dmas, method)
+
+
+def workstation_with_an_attached_injector():
+    """A faulted workstation dropped without detaching its injector."""
+    ws, proc, src, dst, channel = ready_channel("keyed")
+    Injector(bernoulli_plan(0.1, seed=7), ws.sim).attach(ws)
+    assert channel.dma_reliable(src.vaddr, dst.vaddr, 256).ok
+
+
+def test_workstation_with_an_injector_never_detached():
+    warm_then_check(workstation_with_an_attached_injector)
+
+
+def cluster_remote_dmas():
+    """One remote DMA delivered, a second dropped with its message still
+    on the link."""
+    cluster, sender_ws, _, sender, src, _, window = two_node_cluster()
+    channel = DmaChannel(sender_ws, sender)
+    assert channel.dma(src.vaddr, window, 64).ok
+    cluster.run_until_quiet()
+    assert cluster.deliveries == 1
+    assert channel.dma(src.vaddr, window, 64).ok
+    assert cluster.sim.pending  # the cluster is dropped mid-delivery
+
+
+def test_cluster():
+    warm_then_check(cluster_remote_dmas)
+
+
+def cluster_with_an_attached_injector():
+    """A faulted cluster dropped without detaching its injector: one
+    packet delivered, one delayed on the simulator, the last held back
+    by a reorder."""
+    cluster, sender_ws, _, sender, src, _, window = two_node_cluster()
+    plan = FaultPlan(rules=[
+        FaultRule(kind=DELAY, target="link", nth=2, count=1),
+        FaultRule(kind=REORDER, target="link", nth=3, count=1)], seed=1)
+    injector = Injector(plan, cluster.sim).attach(sender_ws)
+    channel = DmaChannel(sender_ws, sender)
+    assert channel.dma(src.vaddr, window, 64).ok
+    cluster.run_until_quiet()
+    assert cluster.deliveries == 1
+    assert channel.dma(src.vaddr, window, 64).ok
+    assert channel.dma(src.vaddr, window, 64).ok
+    assert injector.plan.total_fired == 2
+
+
+def test_cluster_with_an_injector_never_detached():
+    warm_then_check(cluster_with_an_attached_injector)
 
 
 @pytest.mark.parametrize("method", ["shrimp2", "keyed"])

@@ -194,6 +194,9 @@ HOSTILE_REQUESTS = (
     {"tenant": "a", "shard": -1},
     {"tenant": "a", "trace": 5},
     {"tenant": "a", "trace": {"x": 1}},
+    {"tenant": "a", "size": 10**12},
+    {"tenant": "a", "size": 2**70},
+    {"tenant": "x" * 50_000},
 )
 
 
@@ -309,17 +312,25 @@ def test_reset_during_drain_ends_the_connection_quietly():
     async def scenario():
         service = DmaService(small_config(shards=1))
         await service.start()
+        futures = []
+        submit = service.submit
+
+        async def recording_submit(request):
+            futures.append(await submit(request))
+            return futures[-1]
+
+        service.submit = recording_submit
         reader = asyncio.StreamReader()
         reader.feed_data(b'{"tenant": "alice"}\n{"tenant": "bob"}\n')
         reader.feed_eof()
         writer = ResetWriter()
         await handle_connection(service, reader, writer)
         await service.shutdown()
-        return service, writer
+        return futures, writer
 
-    service, writer = run(scenario())
+    futures, writer = run(scenario())
     assert writer.closed
-    assert [c.request.tenant for c in service.completions] == ["alice"]
+    assert [f.result().request.tenant for f in futures] == ["alice"]
 
 
 def test_full_shard_rejects_with_a_reason_and_keeps_serving():
@@ -345,7 +356,7 @@ def test_full_shard_rejects_with_a_reason_and_keeps_serving():
     assert all(c.outcome == OUTCOME_REJECTED and c.reason == REASON_SHARD_FULL
                and c.shard == 0 for c in completions[1023:])
     assert again.ok
-    assert len(service.completions) == 1101
+    assert service.telemetry.completed == 1024
     assert service.telemetry.rejected == 77
     assert service.shards[0].n_tenants == 1023
     assert problems == []
@@ -381,8 +392,8 @@ def test_tcp_client_keeps_its_connection_past_a_full_shard():
 
 
 def test_per_request_records_have_no_instance_dict():
-    """The service keeps every completion, with its request and trace
-    context, and the machine every transfer: each is slotted."""
+    """A completion, its request and trace context, and a transfer are
+    made for every request: each is slotted."""
     trace = TraceContext(trace_id="t1")
     request = Request(tenant="a", trace=trace)
     records = [trace, request, Completion(request=request, ok=True,

@@ -9,6 +9,8 @@ from repro.faults.plan import FaultPlan, FaultRule, bernoulli_plan
 from repro.hw.cpu import Thread
 from repro.service.admission import REASON_SHARD_FULL
 from repro.service.requests import (
+    MAX_TENANT_NAME,
+    MAX_TRANSFER_BYTES,
     OUTCOME_COMPLETED,
     OUTCOME_REJECTED,
     OUTCOME_WRONG_DATA,
@@ -206,10 +208,17 @@ def test_request_validation():
                    {"size": 1.5}, {"hot": 1}, {"shard": "0"},
                    {"tick": False}, {"req_id": None}, {"trace": 5},
                    {"trace": {"x": 1}},
-                   {"trace": {"trace_id": "t", "request_id": "x"}}):
+                   {"trace": {"trace_id": "t", "request_id": "x"}},
+                   {"size": MAX_TRANSFER_BYTES + 1}, {"size": 2**70},
+                   {"tenant": "x" * (MAX_TENANT_NAME + 1)}):
         with pytest.raises(ConfigError):
             Request.from_dict({"tenant": "a", **fields})
     assert Request.from_dict({"tenant": "a", "shard": None}).shard is None
+    # The caps are inclusive, and in-process callers keep the clamp.
+    longest = Request.from_dict({"tenant": "x" * MAX_TENANT_NAME,
+                                 "size": MAX_TRANSFER_BYTES})
+    assert longest.size == MAX_TRANSFER_BYTES
+    assert Request(tenant="a", size=2**70).size == 2**70
 
 
 def test_pattern_and_canary_are_tenant_specific():
@@ -220,6 +229,16 @@ def test_pattern_and_canary_are_tenant_specific():
     assert a.pattern != b.pattern
     assert a.canary != b.canary
     assert len(a.pattern) == TENANT_BUFFER_BYTES
+
+
+def test_tenants_whose_seeds_agree_mod_256_share_their_patterns():
+    """Tenant i's source and canary depend on i only mod 256, so the
+    shard's tenants share 512 patterns instead of owning two each."""
+    shard = ServiceShard(0, ShardConfig(seed=1))
+    tenants = [shard.tenant(f"t{i}") for i in range(257)]
+    assert tenants[256].pattern is tenants[0].pattern
+    assert tenants[256].canary is tenants[0].canary
+    assert len({id(t.pattern) for t in tenants}) == 256
 
 
 def test_pattern_and_canary_match_the_per_byte_expressions():
