@@ -29,7 +29,7 @@ import pathlib
 import statistics
 import sys
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 if __package__ in (None, ""):  # `python benchmarks/perf_report.py`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
@@ -48,29 +48,63 @@ DEFAULT_OUTPUT = (pathlib.Path(__file__).resolve().parent
 WORST_CASE_NAME = fig8_scenario(2).name
 
 
-def _time(fn: Callable[[], CheckResult],
-          repeats: int) -> Tuple[float, CheckResult]:
-    """Median-of-*repeats* wall time for *fn* plus its (last) result.
+#: Each timing sample runs its check back to back until at least this
+#: long has elapsed and reports the time per run (like ``timeit``'s
+#: autorange), so one noisy call cannot decide a sub-millisecond
+#: scenario's throughput.
+MIN_SAMPLE_S = 0.02
 
-    The median (rather than best-of) keeps sub-millisecond scenarios
-    from reporting a lucky outlier as the scenario's throughput, so
+
+def _time(fns: Sequence[Callable[[], CheckResult]],
+          repeats: int) -> List[Tuple[float, CheckResult]]:
+    """Median-of-*repeats* wall time per run of each of *fns*, each with
+    its (last) result.
+
+    Each sample calls one function back to back until
+    :data:`MIN_SAMPLE_S` has elapsed and divides by the calls.  The
+    functions' samples alternate, one of each per round, so a shared
+    host that speeds up or slows down between rounds moves the naive
+    and incremental timings alike instead of the speedup between them.
+    The median (rather than best-of) keeps a lucky sample from
+    reporting an outlier as the scenario's throughput, so
     BENCH_checker.json numbers are stable across runs.
     """
-    times: List[float] = []
-    result: Optional[CheckResult] = None
+    samples: List[List[float]] = [[] for _ in fns]
+    results: List[Optional[CheckResult]] = [None] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    assert result is not None
-    return statistics.median(times), result
+        for index, fn in enumerate(fns):
+            runs = 0
+            t0 = time.perf_counter()
+            while True:
+                results[index] = fn()
+                runs += 1
+                elapsed = time.perf_counter() - t0
+                if elapsed >= MIN_SAMPLE_S:
+                    break
+            samples[index].append(elapsed / runs)
+    timings = []
+    for times, result in zip(samples, results):
+        assert result is not None
+        timings.append((statistics.median(times), result))
+    return timings
 
 
 def bench_scenario(scenario: Scenario, repeats: int,
                    incremental: bool = True,
                    profile: bool = False) -> dict:
     """Benchmark one scenario; returns its JSON record."""
-    naive_s, naive = _time(lambda: check_scenario(scenario), repeats)
+    stats = CheckStats()
+
+    def run() -> CheckResult:
+        nonlocal stats
+        stats = CheckStats()
+        return check_scenario_incremental(scenario, stats=stats)
+
+    fns: List[Callable[[], CheckResult]] = [lambda: check_scenario(scenario)]
+    if incremental:
+        fns.append(run)
+    timings = _time(fns, repeats)
+    naive_s, naive = timings[0]
     orders = naive.total_interleavings
     entry = {
         "name": scenario.name,
@@ -82,14 +116,7 @@ def bench_scenario(scenario: Scenario, repeats: int,
     }
     if not incremental:
         return entry
-    stats = CheckStats()
-
-    def run() -> CheckResult:
-        nonlocal stats
-        stats = CheckStats()
-        return check_scenario_incremental(scenario, stats=stats)
-
-    inc_s, inc = _time(run, repeats)
+    inc_s, inc = timings[1]
     entry["incremental"] = {
         "wall_s": round(inc_s, 6),
         "orders_per_s": round(orders / inc_s, 1) if inc_s else None,

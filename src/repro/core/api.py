@@ -141,7 +141,9 @@ class DmaChannel:
         self.ws = ws
         self.proc = proc
         self.via = via
-        self._retry_rng = None  # lazily seeded jitter RNG (deterministic)
+        # Jitter RNG, seeded at the channel's first backoff: a channel
+        # that never backs off never builds one.
+        self._retry_rng = None
         if via == "kernel":
             from .methods import get_method
 
@@ -465,7 +467,6 @@ class DmaChannel:
         """
         policy = policy if policy is not None else DEFAULT_RETRY_POLICY
         stats = self.ws.stats
-        rng = self._jitter_rng(policy)
         root = self._begin_reliable_span(size)
         start = self.ws.sim.now
         for attempt in range(1, policy.max_attempts + 1):
@@ -481,7 +482,7 @@ class DmaChannel:
                 stats.counter("dma.completion_timeouts").add()
             stats.counter("dma.retries").add()
             if attempt < policy.max_attempts:
-                self._backoff(policy, attempt, rng)
+                self._backoff(policy, attempt)
         stats.counter("dma.retry_exhausted").add()
         if policy.kernel_fallback and self.via == "user":
             fb = None
@@ -552,9 +553,9 @@ class DmaChannel:
         if self.ws.metrics.enabled:
             self.ws.metrics.poll()
 
-    def _backoff(self, policy: RetryPolicy, attempt: int, rng) -> None:
+    def _backoff(self, policy: RetryPolicy, attempt: int) -> None:
         """Wait out the backoff for *attempt*, as a span when tracing."""
-        delay = policy.backoff(attempt, rng)
+        delay = policy.backoff(attempt, self._jitter_rng(policy))
         if self.ws.spans.enabled:
             sp = self.ws.spans.begin("dma.backoff",
                                      track=f"proc{self.proc.pid}",

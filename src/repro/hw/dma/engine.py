@@ -150,9 +150,12 @@ class DmaEngine(MmioDevice):
         # Fingerprint caches, valid only because every mutation site
         # either keys them on a length (append/truncate-only lists) or
         # invalidates them explicitly (table writes, context captures,
-        # undo callbacks, transfer-completion flips).
+        # undo callbacks, transfer-completion flips).  The contexts'
+        # part is kept per context: a capture or undo drops only the
+        # context it touched (None marks a stale slot).
         self._init_fp: tuple = ()
         self._tables_fp: Optional[tuple] = None
+        self._ctx_fps: List[Optional[tuple]] = [None] * len(self.contexts)
         self._ctx_fp: Optional[tuple] = None
         self._ctx_fp_flips = 0
         self.protocol = protocol
@@ -180,6 +183,7 @@ class DmaEngine(MmioDevice):
         self._init_fp = ()
         self._tables_fp = None
         self._ctx_fp = None
+        self._ctx_fps = [None] * len(self.contexts)
         self.transfer_engine.bind_journal(journal)
 
     def _j_access(self) -> None:
@@ -218,15 +222,16 @@ class DmaEngine(MmioDevice):
         Every register-context mutation goes through here first: the
         context-page accesses, :meth:`try_start`, the keyed and capio
         argument stores, and the kernel's context management.  The
-        capture happens once per journal epoch; the cached context
+        capture happens once per journal epoch; the context's cached
         fingerprint drops on every call.
         """
+        ctx_id = context.ctx_id
+        self._ctx_fps[ctx_id] = None
         self._ctx_fp = None
         journal = self._undo
         if journal is None:
             return
         epochs = self._ctx_epochs
-        ctx_id = context.ctx_id
         if epochs[ctx_id] != journal.epoch:
             epochs[ctx_id] = journal.epoch
             journal.record_call(self._restore_context,
@@ -235,6 +240,7 @@ class DmaEngine(MmioDevice):
     def _restore_context(self, entry: tuple) -> None:
         context, state = entry
         context.restore(state)
+        self._ctx_fps[context.ctx_id] = None
         self._ctx_fp = None
 
     def _j_table(self, table: Dict[int, int], key: int) -> None:
@@ -260,39 +266,20 @@ class DmaEngine(MmioDevice):
         self._tables_fp = None
 
     # ------------------------------------------------------------------
-    # MMIO entry points
+    # MMIO entry points: decode the offset, then hand the access to the
+    # decoded entry points below (or to a privileged page)
     # ------------------------------------------------------------------
 
     def mmio_write(self, offset: int, value: int, ctx: AccessContext) -> None:
-        self._j_access()
         shadow = self.layout.decode_offset(offset)
         if shadow is not None:
-            access = self._shadow_access("store", shadow.ctx_id,
-                                         shadow.paddr, value, ctx)
-            if self.spans.enabled:
-                sp = self._access_span("dma.shadow_store", ctx,
-                                       ctx_id=access.ctx_id,
-                                       paddr=access.paddr, data=value)
-                self.protocol.on_shadow_store(access)
-                self.spans.end(sp, state_to=self.protocol.state_label())
-            else:
-                self.protocol.on_shadow_store(access)
+            self.shadow_store(shadow.ctx_id, shadow.paddr, value, ctx)
             return
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
-            access = self._shadow_access("store", ctx_index, 0, value, ctx)
-            context = self.contexts[ctx_index]
-            self.capture_context(context)
-            if self.spans.enabled:
-                sp = self._access_span("dma.context_store", ctx,
-                                       ctx_id=ctx_index, data=value)
-                self.protocol.on_context_store(
-                    context, offset & PAGE_MASK, value, access)
-                self.spans.end(sp, state_to=self.protocol.state_label())
-            else:
-                self.protocol.on_context_store(
-                    context, offset & PAGE_MASK, value, access)
+            self.context_store(ctx_index, offset & PAGE_MASK, value, ctx)
             return
+        self._j_access()
         page = offset >> PAGE_SHIFT
         reg = offset & PAGE_MASK
         if page == self.layout.key_page_offset >> PAGE_SHIFT:
@@ -304,37 +291,13 @@ class DmaEngine(MmioDevice):
         raise DeviceError(f"{self.name}: write to unmapped offset {offset:#x}")
 
     def mmio_read(self, offset: int, ctx: AccessContext) -> int:
-        self._j_access()
         shadow = self.layout.decode_offset(offset)
         if shadow is not None:
-            access = self._shadow_access("load", shadow.ctx_id,
-                                         shadow.paddr, 0, ctx)
-            if self.spans.enabled:
-                sp = self._access_span("dma.shadow_load", ctx,
-                                       ctx_id=access.ctx_id,
-                                       paddr=access.paddr)
-                status = self.protocol.on_shadow_load(access)
-                self.spans.end(sp, state_to=self.protocol.state_label(),
-                               status=status)
-            else:
-                status = self.protocol.on_shadow_load(access)
-            return status
+            return self.shadow_load(shadow.ctx_id, shadow.paddr, ctx)
         ctx_index = self.layout.context_of_offset(offset)
         if ctx_index is not None:
-            access = self._shadow_access("load", ctx_index, 0, 0, ctx)
-            context = self.contexts[ctx_index]
-            self.capture_context(context)
-            if self.spans.enabled:
-                sp = self._access_span("dma.context_load", ctx,
-                                       ctx_id=ctx_index)
-                status = self.protocol.on_context_load(
-                    context, offset & PAGE_MASK, access)
-                self.spans.end(sp, state_to=self.protocol.state_label(),
-                               status=status)
-            else:
-                status = self.protocol.on_context_load(
-                    context, offset & PAGE_MASK, access)
-            return status
+            return self.context_load(ctx_index, offset & PAGE_MASK, ctx)
+        self._j_access()
         page = offset >> PAGE_SHIFT
         reg = offset & PAGE_MASK
         if page == self.layout.key_page_offset >> PAGE_SHIFT:
@@ -346,24 +309,94 @@ class DmaEngine(MmioDevice):
     def mmio_exchange(self, offset: int, value: int,
                       ctx: AccessContext) -> int:
         """Atomic read-modify-write access (SHRIMP-1's initiation, §2.4)."""
-        self._j_access()
         shadow = self.layout.decode_offset(offset)
         if shadow is None:
             raise DeviceError(
                 f"{self.name}: atomic exchange outside shadow region "
                 f"at offset {offset:#x}")
-        access = self._shadow_access("exchange", shadow.ctx_id,
-                                     shadow.paddr, value, ctx)
+        return self.shadow_exchange(shadow.ctx_id, shadow.paddr, value, ctx)
+
+    # ------------------------------------------------------------------
+    # Decoded entry points (the MMIO decoder's targets; the checker's
+    # harness calls them straight from its access specs)
+    # ------------------------------------------------------------------
+
+    def shadow_store(self, ctx_id: int, paddr: int, value: int,
+                     ctx: AccessContext) -> None:
+        """A store to ``shadow(paddr)`` carrying CONTEXT_ID *ctx_id*."""
+        self._j_access()
+        access = ShadowAccess("store", ctx_id, paddr, value, ctx.issuer,
+                              ctx.kernel, ctx.when)
+        if self.spans.enabled:
+            sp = self._access_span("dma.shadow_store", ctx, ctx_id=ctx_id,
+                                   paddr=paddr, data=value)
+            self.protocol.on_shadow_store(access)
+            self.spans.end(sp, state_to=self.protocol.state_label())
+        else:
+            self.protocol.on_shadow_store(access)
+
+    def shadow_load(self, ctx_id: int, paddr: int,
+                    ctx: AccessContext) -> int:
+        """A load from ``shadow(paddr)``; returns the status word."""
+        self._j_access()
+        access = ShadowAccess("load", ctx_id, paddr, 0, ctx.issuer,
+                              ctx.kernel, ctx.when)
+        if self.spans.enabled:
+            sp = self._access_span("dma.shadow_load", ctx, ctx_id=ctx_id,
+                                   paddr=paddr)
+            status = self.protocol.on_shadow_load(access)
+            self.spans.end(sp, state_to=self.protocol.state_label(),
+                           status=status)
+            return status
+        return self.protocol.on_shadow_load(access)
+
+    def shadow_exchange(self, ctx_id: int, paddr: int, value: int,
+                        ctx: AccessContext) -> int:
+        """An atomic exchange on ``shadow(paddr)``; returns the status."""
+        self._j_access()
+        access = ShadowAccess("exchange", ctx_id, paddr, value, ctx.issuer,
+                              ctx.kernel, ctx.when)
         if self.spans.enabled:
             sp = self._access_span("dma.shadow_exchange", ctx,
-                                   ctx_id=access.ctx_id, paddr=access.paddr,
-                                   data=value)
+                                   ctx_id=ctx_id, paddr=paddr, data=value)
             status = self.protocol.on_shadow_exchange(access)
             self.spans.end(sp, state_to=self.protocol.state_label(),
                            status=status)
+            return status
+        return self.protocol.on_shadow_exchange(access)
+
+    def context_store(self, ctx_index: int, reg: int, value: int,
+                      ctx: AccessContext) -> None:
+        """A store to register *reg* of context page *ctx_index*."""
+        self._j_access()
+        access = ShadowAccess("store", ctx_index, 0, value, ctx.issuer,
+                              ctx.kernel, ctx.when)
+        context = self.contexts[ctx_index]
+        self.capture_context(context)
+        if self.spans.enabled:
+            sp = self._access_span("dma.context_store", ctx,
+                                   ctx_id=ctx_index, data=value)
+            self.protocol.on_context_store(context, reg, value, access)
+            self.spans.end(sp, state_to=self.protocol.state_label())
         else:
-            status = self.protocol.on_shadow_exchange(access)
-        return status
+            self.protocol.on_context_store(context, reg, value, access)
+
+    def context_load(self, ctx_index: int, reg: int,
+                     ctx: AccessContext) -> int:
+        """A load from register *reg* of context page *ctx_index*."""
+        self._j_access()
+        access = ShadowAccess("load", ctx_index, 0, 0, ctx.issuer,
+                              ctx.kernel, ctx.when)
+        context = self.contexts[ctx_index]
+        self.capture_context(context)
+        if self.spans.enabled:
+            sp = self._access_span("dma.context_load", ctx,
+                                   ctx_id=ctx_index)
+            status = self.protocol.on_context_load(context, reg, access)
+            self.spans.end(sp, state_to=self.protocol.state_label(),
+                           status=status)
+            return status
+        return self.protocol.on_context_load(context, reg, access)
 
     def _access_span(self, name: str, ctx: AccessContext,
                      **attrs) -> Span:
@@ -615,14 +648,10 @@ class DmaEngine(MmioDevice):
             else:
                 cached = cached + tuple(self.initiations[len(cached):])
             self._init_fp = cached
-        flips = self.transfer_engine.flips
         contexts = self._ctx_fp
-        if contexts is None or self._ctx_fp_flips != flips:
-            # A context's value includes its transfer's completed flag,
-            # which the transfer engine flips without a context capture.
-            contexts = self._ctx_fp = tuple(
-                c.fingerprint() for c in self.contexts)
-            self._ctx_fp_flips = flips
+        if (contexts is None
+                or self._ctx_fp_flips != self.transfer_engine.flips):
+            contexts = self._ctx_fp = self._contexts_fingerprint()
         return (
             contexts,
             tables[0],
@@ -636,6 +665,25 @@ class DmaEngine(MmioDevice):
             self.protocol.state_fingerprint(),
             self.transfer_engine.fingerprint(),
         )
+
+    def _contexts_fingerprint(self) -> tuple:
+        """Rebuild the contexts' part of :meth:`fingerprint`.
+
+        Only the contexts captured or undone since the last build are
+        recomputed.  A context's value includes its transfer's
+        ``completed`` flag, which the transfer engine flips without a
+        context capture, so after a flip every context is.
+        """
+        fps = self._ctx_fps
+        flips = self.transfer_engine.flips
+        if self._ctx_fp_flips != flips:
+            self._ctx_fp_flips = flips
+            fps[:] = [c.fingerprint() for c in self.contexts]
+        else:
+            for ctx_id, fp in enumerate(fps):
+                if fp is None:
+                    fps[ctx_id] = self.contexts[ctx_id].fingerprint()
+        return tuple(fps)
 
     def reset(self) -> None:
         """Power-on reset: contexts, tables, protocol state, records."""
@@ -662,11 +710,6 @@ class DmaEngine(MmioDevice):
         self.protocol.reset()
 
     # ------------------------------------------------------------------
-
-    def _shadow_access(self, op: str, ctx_id: int, paddr: int, data: int,
-                       ctx: AccessContext) -> ShadowAccess:
-        return ShadowAccess(op, ctx_id, paddr, data, ctx.issuer, ctx.kernel,
-                            ctx.when)
 
     def _check_ctx_id(self, ctx_id: int) -> None:
         if not 0 <= ctx_id < len(self.contexts):

@@ -48,7 +48,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ....errors import ConfigError
 from ..contexts import RegisterContext
-from ..recognizer import InitiationProtocol, SetupOp, ShadowAccess
+from ..recognizer import (
+    InitiationProtocol,
+    SetupOp,
+    ShadowAccess,
+    without_key,
+)
 from ..status import STATUS_FAILURE
 from .keyed import ARG_DESTINATION, ARG_SOURCE
 
@@ -134,6 +139,9 @@ class CapioProtocol(InitiationProtocol):
         self.name = "capio" if epoch_check else "capio_noepoch"
         self.epoch_check = epoch_check
         self.cap_rejections = 0
+        # The three tables are replaced on every write, never mutated in
+        # place, so snapshots hold them by reference and the fingerprint
+        # cache can key on their identity.
         self._caps: Dict[int, Capability] = {}
         # ctx_id -> {"src"/"dst": _ArgRef} for latched arguments.
         self._arg_refs: Dict[int, Dict[str, _ArgRef]] = {}
@@ -143,6 +151,11 @@ class CapioProtocol(InitiationProtocol):
         #: Per started DMA: the minting pid when both capabilities share
         #: one owner, else None.
         self.completed_authority: List[Optional[int]] = []
+        # Fingerprint caches: the tables' part with the three dicts it
+        # was built from (empty until built), and a length-keyed prefix
+        # of the two logs.
+        self._tables_fp: tuple = ()
+        self._completed_fp: tuple = ()
 
     # -- token validation --------------------------------------------------
 
@@ -185,12 +198,14 @@ class CapioProtocol(InitiationProtocol):
         context = self.engine.contexts[entry.owner_ctx]
         self.engine.capture_context(context)
         phys = entry.base + ref.offset
+        refs = dict(self._arg_refs.get(entry.owner_ctx, ()))
         if arg == ARG_SOURCE:
             context.src = phys
-            self._arg_refs.setdefault(entry.owner_ctx, {})["src"] = ref
+            refs["src"] = ref
         else:
             context.dst = phys
-            self._arg_refs.setdefault(entry.owner_ctx, {})["dst"] = ref
+            refs["dst"] = ref
+        self._arg_refs = {**self._arg_refs, entry.owner_ctx: refs}
         context.failed = False
 
     def on_shadow_load(self, access: ShadowAccess) -> int:
@@ -203,7 +218,8 @@ class CapioProtocol(InitiationProtocol):
                          value: int, access: ShadowAccess) -> None:
         ctx.size = value
         ctx.failed = False
-        self._size_issuers[ctx.ctx_id] = access.issuer
+        self._size_issuers = {**self._size_issuers,
+                              ctx.ctx_id: access.issuer}
 
     def on_context_load(self, ctx: RegisterContext, offset: int,
                         access: ShadowAccess) -> int:
@@ -250,8 +266,8 @@ class CapioProtocol(InitiationProtocol):
 
     def _clear(self, ctx: RegisterContext) -> None:
         ctx.clear_args()
-        self._arg_refs.pop(ctx.ctx_id, None)
-        self._size_issuers.pop(ctx.ctx_id, None)
+        self._arg_refs = without_key(self._arg_refs, ctx.ctx_id)
+        self._size_issuers = without_key(self._size_issuers, ctx.ctx_id)
 
     # -- kernel-managed setup ----------------------------------------------
 
@@ -262,15 +278,16 @@ class CapioProtocol(InitiationProtocol):
             if not 0 <= cap_id <= _CAP_MASK:
                 raise ConfigError(
                     f"cap_id {cap_id} overflows {_CAP_BITS} bits")
-            self._caps[cap_id] = Capability(
+            self._caps = {**self._caps, cap_id: Capability(
                 base=base, limit=limit, readable=readable,
                 writable=writable, epoch=0, nonce=nonce,
-                owner_ctx=owner_ctx, owner_pid=owner_pid)
+                owner_ctx=owner_ctx, owner_pid=owner_pid)}
         elif op.kind == "cap-revoke":
             (cap_id,) = op.args
             entry = self._caps.get(cap_id)
             if entry is not None:
-                self._caps[cap_id] = replace(entry, epoch=entry.epoch + 1)
+                self._caps = {**self._caps,
+                              cap_id: replace(entry, epoch=entry.epoch + 1)}
         else:
             raise ConfigError(
                 f"protocol {self.name} accepts no setup op {op.kind!r}")
@@ -288,6 +305,8 @@ class CapioProtocol(InitiationProtocol):
         self._size_issuers = {}
         self.completed_contributors = []
         self.completed_authority = []
+        self._tables_fp = ()
+        self._completed_fp = ()
 
     def state_label(self) -> str:
         """Which contexts hold capability-latched arguments."""
@@ -302,34 +321,49 @@ class CapioProtocol(InitiationProtocol):
     # -- snapshot/restore --------------------------------------------------
 
     def snapshot_state(self):
-        # Capability and _ArgRef instances are frozen (revocation
-        # replaces whole entries), so shallow copies suffice; the
-        # completion logs are append-only and captured as lengths.
-        return (dict(self._caps),
-                {ctx_id: dict(refs)
-                 for ctx_id, refs in self._arg_refs.items()},
-                dict(self._size_issuers),
-                len(self.completed_contributors),
-                self.cap_rejections)
+        # The tables are replaced on write, so the blob holds references;
+        # the completion logs are append-only and captured as lengths.
+        return (self._caps, self._arg_refs, self._size_issuers,
+                len(self.completed_contributors), self.cap_rejections)
 
     def restore_state(self, state) -> None:
-        caps, arg_refs, size_issuers, n_completed, rejections = state
-        self._caps = dict(caps)
-        self._arg_refs = {ctx_id: dict(refs)
-                          for ctx_id, refs in arg_refs.items()}
-        self._size_issuers = dict(size_issuers)
+        (self._caps, self._arg_refs, self._size_issuers, n_completed,
+         self.cap_rejections) = state
         del self.completed_contributors[n_completed:]
         del self.completed_authority[n_completed:]
-        self.cap_rejections = rejections
+        if len(self._completed_fp) > n_completed:
+            # The cache held entries the undo just removed.
+            self._completed_fp = self._completed_fp[:n_completed]
 
     def state_fingerprint(self):
         # The completion logs feed the single-issuer property at every
         # leaf, so their *content* (not just length) must match for two
         # states to share a subtree.
-        return (tuple(sorted(self._caps.items())),
+        caps, arg_refs, sizes = self._caps, self._arg_refs, self._size_issuers
+        tables = self._tables_fp
+        if (not tables or tables[0] is not caps
+                or tables[1] is not arg_refs or tables[2] is not sizes):
+            tables = self._tables_fp = (caps, arg_refs, sizes, (
+                tuple(sorted((cap_id, _cap_value(cap))
+                             for cap_id, cap in caps.items())),
                 tuple(sorted(
-                    (ctx_id, tuple(sorted(refs.items())))
-                    for ctx_id, refs in self._arg_refs.items())),
-                tuple(sorted(self._size_issuers.items())),
-                tuple(self.completed_contributors),
-                tuple(self.completed_authority))
+                    (ctx_id, tuple(sorted(
+                        (arg, (ref.cap_id, ref.epoch, ref.offset,
+                               ref.issuer))
+                        for arg, ref in refs.items())))
+                    for ctx_id, refs in arg_refs.items())),
+                tuple(sorted(sizes.items()))))
+        completed = self._completed_fp
+        n = len(completed)
+        if n != len(self.completed_contributors):
+            completed = self._completed_fp = completed + tuple(zip(
+                self.completed_contributors[n:],
+                self.completed_authority[n:]))
+        return tables[3], completed
+
+
+def _cap_value(cap: Capability) -> tuple:
+    """A capability as a plain value tuple (hashed in C, unlike the
+    dataclass's generated ``__hash__``)."""
+    return (cap.base, cap.limit, cap.readable, cap.writable, cap.epoch,
+            cap.nonce, cap.owner_ctx, cap.owner_pid)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..recognizer import InitiationProtocol, ShadowAccess
+from ..recognizer import InitiationProtocol, ShadowAccess, without_key
 from ..status import STATUS_FAILURE
 
 
@@ -44,6 +44,8 @@ class ExtendedShadowProtocol(InitiationProtocol):
         self.per_context = per_context
         self.ctx_mismatches = 0
         self.empty_loads = 0
+        # Replaced on every write, never mutated in place, so a snapshot
+        # holds it by reference.
         self._latches: Dict[int, _Latch] = {}
         self._single: Optional[_Latch] = None
 
@@ -54,16 +56,17 @@ class ExtendedShadowProtocol(InitiationProtocol):
             if access.ctx_id >= self.engine.layout.n_contexts:
                 self.ctx_mismatches += 1
                 return
-            self._latches[access.ctx_id] = latch
+            self._latches = {**self._latches, access.ctx_id: latch}
         else:
             self._single = latch
 
     def on_shadow_load(self, access: ShadowAccess) -> int:
         if self.per_context:
-            latch = self._latches.pop(access.ctx_id, None)
+            latch = self._latches.get(access.ctx_id)
             if latch is None:
                 self.empty_loads += 1
                 return STATUS_FAILURE
+            self._latches = without_key(self._latches, access.ctx_id)
         else:
             latch, self._single = self._single, None
             if latch is None:
@@ -97,17 +100,14 @@ class ExtendedShadowProtocol(InitiationProtocol):
         return "latched" if self._single is not None else "idle"
 
     def snapshot_state(self):
-        # _Latch instances are never mutated after creation (stores
-        # replace whole entries), so a shallow dict copy suffices.
-        return (dict(self._latches), self._single,
+        # Neither the latch table nor a _Latch is ever mutated after
+        # creation (writes replace them), so references suffice.
+        return (self._latches, self._single,
                 self.ctx_mismatches, self.empty_loads)
 
     def restore_state(self, state) -> None:
-        latches, single, mismatches, empty = state
-        self._latches = dict(latches)
-        self._single = single
-        self.ctx_mismatches = mismatches
-        self.empty_loads = empty
+        (self._latches, self._single, self.ctx_mismatches,
+         self.empty_loads) = state
 
     def state_fingerprint(self):
         single = (None if self._single is None else

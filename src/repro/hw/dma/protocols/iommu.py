@@ -40,7 +40,12 @@ from typing import Dict
 
 from ....errors import ConfigError
 from ...iommu import Iommu
-from ..recognizer import InitiationProtocol, SetupOp, ShadowAccess
+from ..recognizer import (
+    InitiationProtocol,
+    SetupOp,
+    ShadowAccess,
+    without_key,
+)
 from ..status import STATUS_FAILURE
 
 
@@ -61,6 +66,8 @@ class IommuProtocol(InitiationProtocol):
         self.translation_faults = 0
         self.ctx_mismatches = 0
         self.empty_loads = 0
+        # Replaced on every write, never mutated in place, so a snapshot
+        # holds it by reference.
         self._latches: Dict[int, _Latch] = {}
 
     # -- the shadow region -------------------------------------------------
@@ -69,14 +76,15 @@ class IommuProtocol(InitiationProtocol):
         if access.ctx_id >= self.engine.layout.n_contexts:
             self.ctx_mismatches += 1
             return
-        self._latches[access.ctx_id] = _Latch(iova_dst=access.paddr,
-                                              size=access.data)
+        self._latches = {**self._latches, access.ctx_id: _Latch(
+            iova_dst=access.paddr, size=access.data)}
 
     def on_shadow_load(self, access: ShadowAccess) -> int:
-        latch = self._latches.pop(access.ctx_id, None)
+        latch = self._latches.get(access.ctx_id)
         if latch is None:
             self.empty_loads += 1
             return STATUS_FAILURE
+        self._latches = without_key(self._latches, access.ctx_id)
         pdst = self.iommu.translate(access.ctx_id, latch.iova_dst,
                                     latch.size, write=True)
         psrc = self.iommu.translate(access.ctx_id, access.paddr,
@@ -129,16 +137,16 @@ class IommuProtocol(InitiationProtocol):
     # -- snapshot/restore --------------------------------------------------
 
     def snapshot_state(self):
-        # _Latch instances are never mutated after creation (stores
-        # replace whole entries), so a shallow dict copy suffices; the
+        # Neither the latch table nor a _Latch is ever mutated after
+        # creation (writes replace them), so a reference suffices; the
         # IOMMU snapshots its tables, IOTLB order, and counters.
-        return (dict(self._latches), self.iommu.snapshot(),
+        return (self._latches, self.iommu.snapshot(),
                 self.translation_faults, self.ctx_mismatches,
                 self.empty_loads)
 
     def restore_state(self, state) -> None:
         latches, iommu_state, faults, mismatches, empty = state
-        self._latches = dict(latches)
+        self._latches = latches
         self.iommu.restore(iommu_state)
         self.translation_faults = faults
         self.ctx_mismatches = mismatches

@@ -82,11 +82,15 @@ class RepeatedPassingProtocol(InitiationProtocol):
         #: Per completed sequence, the issuer pids of its five (or 3/4)
         #: accesses — tracing/verification only, never used by the FSM.
         self.completed_contributors: List[Tuple[Optional[int], ...]] = []
+        # Length-keyed prefix cache of tuple(completed_contributors) for
+        # state_fingerprint (the log only appends, or truncates on undo).
+        self._completed_fp: Tuple[Tuple[Optional[int], ...], ...] = ()
         self._pos = 0
         self._src: Optional[int] = None
         self._dst: Optional[int] = None
         self._size: Optional[int] = None
-        self._issuers: List[Optional[int]] = []
+        # Replaced, never mutated, so a snapshot can hold it by reference.
+        self._issuers: Tuple[Optional[int], ...] = ()
 
     # ------------------------------------------------------------------
 
@@ -156,7 +160,7 @@ class RepeatedPassingProtocol(InitiationProtocol):
             self._dst = access.paddr
             self._size = access.data
         self._pos += 1
-        self._issuers.append(access.issuer)
+        self._issuers += (access.issuer,)
         # Stores never terminate a pattern in any variant.
 
     def _accept_load(self, access: ShadowAccess) -> int:
@@ -165,7 +169,7 @@ class RepeatedPassingProtocol(InitiationProtocol):
             return STATUS_PENDING
         # Pattern complete: fire (a completion is not a "reset").
         psrc, pdst, size = self._src, self._dst, self._size
-        contributors = tuple(self._issuers)
+        contributors = self._issuers
         self._clear_state()
         self.sequences_completed += 1
         self.completed_contributors.append(contributors)
@@ -177,7 +181,7 @@ class RepeatedPassingProtocol(InitiationProtocol):
         if self._source_slot():
             self._src = access.paddr
         self._pos += 1
-        self._issuers.append(access.issuer)
+        self._issuers += (access.issuer,)
 
     def _source_slot(self) -> bool:
         """Whether the load at the current position defines the source."""
@@ -195,17 +199,14 @@ class RepeatedPassingProtocol(InitiationProtocol):
         self._src = None
         self._dst = None
         self._size = None
-        self._issuers = []
+        self._issuers = ()
 
     def reset(self) -> None:
-        self._pos = 0
-        self._src = None
-        self._dst = None
-        self._size = None
-        self._issuers = []
+        self._clear_state()
         self.resets = 0
         self.sequences_completed = 0
         self.completed_contributors = []
+        self._completed_fp = ()
 
     # ------------------------------------------------------------------
 
@@ -224,22 +225,31 @@ class RepeatedPassingProtocol(InitiationProtocol):
     # -- snapshot/restore -----------------------------------------------
 
     def snapshot_state(self):
+        # _issuers is an immutable tuple, captured by reference;
         # completed_contributors is append-only: capture its length and
         # truncate on restore instead of copying the whole list.
         return (self._pos, self._src, self._dst, self._size,
-                tuple(self._issuers), self.resets,
+                self._issuers, self.resets,
                 self.sequences_completed, len(self.completed_contributors))
 
     def restore_state(self, state) -> None:
-        (self._pos, self._src, self._dst, self._size, issuers,
+        (self._pos, self._src, self._dst, self._size, self._issuers,
          self.resets, self.sequences_completed, n_completed) = state
-        self._issuers = list(issuers)
         del self.completed_contributors[n_completed:]
+        if len(self._completed_fp) > n_completed:
+            # The cache held entries the undo just removed; a later
+            # append of the same length must not reuse them.
+            self._completed_fp = self._completed_fp[:n_completed]
 
     def state_fingerprint(self):
         # The in-progress pattern state and the completed-contributor
         # history both matter: the former drives future transitions, the
         # latter feeds the single-issuer property at every leaf.  The
         # resets/sequences_completed counters are pure statistics.
+        completed = self._completed_fp
+        log = self.completed_contributors
+        if len(completed) != len(log):
+            completed = self._completed_fp = (
+                completed + tuple(log[len(completed):]))
         return (self._pos, self._src, self._dst, self._size,
-                tuple(self._issuers), tuple(self.completed_contributors))
+                self._issuers, completed)

@@ -85,6 +85,19 @@ class SetupOp:
     args: Tuple = ()
 
 
+def without_key(table: dict, key: Any) -> dict:
+    """*table* minus *key*, as a new dict (*table* itself if absent).
+
+    For protocol state that is replaced on write instead of mutated, so
+    a journal snapshot can hold it by reference.
+    """
+    if key not in table:
+        return table
+    table = dict(table)
+    del table[key]
+    return table
+
+
 def _unattached() -> None:
     """The engine reference of a protocol no engine has attached."""
     return None

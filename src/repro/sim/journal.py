@@ -18,6 +18,9 @@ Two recording disciplines coexist, chosen per mutation site:
   scalar tuple, a register context, the simulator clock): the first
   mutation after each :meth:`mark`/:meth:`undo_to` captures the whole
   blob once, and later mutations inside the same epoch are free.  The
+  blob holds references, not copies: the protocol state it captures
+  (tuples, and dicts that every write replaces) is never mutated in
+  place, so neither the capture nor the undo copies it.  The
   :attr:`epoch` counter increments on every mark *and* every undo, so a
   component comparing its stamped epoch against the journal's knows
   whether the current blob is already safely captured.  A blob is

@@ -37,7 +37,7 @@ snapshot/restore pair (counted in ``CheckStats.batched_deliveries``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
@@ -68,13 +68,14 @@ _NO_CHANGE = object()
 #: which is exactly the speedup<1.0 regression BENCH_checker recorded on
 #: the 2-to-21-order scenarios; fast replay also skips the per-order
 #: harness reconstruction that dominates the naive oracle.  Re-measured
-#: on the nine built-in scenarios under 30 orders after per-context
-#: journaling, which also made the oracle's per-order rebuild cheaper
+#: on the nine built-in scenarios under 30 orders after decoded
+#: deliveries, which also made the oracle's per-order replay cheaper
 #: (CPython 3.11, 2 vCPUs, median of 250 runs each in 25 alternating
-#: batches): at threshold 0 five of the nine fell below 1.0x the naive
-#: oracle (0.75-0.99x, pair-race-shrimp2 lowest), and with the cutover
-#: all nine ran at 1.01-1.33x (pair-race-extshadow thinnest: both of its
-#: starts capture a register context that the oracle never saves).
+#: batches): at threshold 0 seven of the nine fell below 1.0x the naive
+#: oracle (0.81-0.99x, pair-race-shrimp2 and pair-race-shrimp1 lowest),
+#: and with the cutover all nine ran at 1.07-1.37x (pair-race-extshadow
+#: thinnest: both of its starts capture a register context that the
+#: oracle never saves).
 SMALL_SCENARIO_CUTOVER = 30
 
 
@@ -123,7 +124,6 @@ class CheckStats:
         return self.accesses_delivered / self.naive_accesses
 
 
-@dataclass
 class _Subtree:
     """Summary of one choice-tree node's entire subtree.
 
@@ -131,14 +131,19 @@ class _Subtree:
     violating orders as (suffix-from-this-node, violations) pairs; a
     parent splices its edge access onto each suffix, so the root's
     entries are complete interleavings — the same ones the naive oracle
-    retains.
+    retains.  A subtree with no violating leaf has an empty ``by_prop``
+    and no examples, so a parent merges those only from violating
+    children.
     """
 
-    leaves: int = 0
-    violating: int = 0
-    by_prop: Dict[str, int] = field(default_factory=dict)
-    examples: List[Tuple[Tuple[AccessSpec, ...], List[Violation]]] = (
-        field(default_factory=list))
+    __slots__ = ("leaves", "violating", "by_prop", "examples")
+
+    def __init__(self, leaves: int = 0) -> None:
+        self.leaves = leaves
+        self.violating = 0
+        self.by_prop: Dict[str, int] = {}
+        self.examples: List[
+            Tuple[Tuple[AccessSpec, ...], List[Violation]]] = []
 
 
 def check_scenario_incremental(
@@ -190,7 +195,15 @@ def check_scenario_incremental(
         stats = CheckStats()
 
     harness = make_harness(scenario)
-    positions = [0] * len(streams)
+    # The first snapshot binds the harness's undo journal; from then on a
+    # snapshot is the journal's O(1) mark and a restore its undo.
+    harness.snapshot()
+    mark = harness.journal.mark
+    undo_to = harness.journal.undo_to
+    # Accesses left per stream: a stream's next access is at
+    # lengths[i] - left[i], and a node whose remaining total equals one
+    # stream's count has a forced tail.
+    left = list(lengths)
     final_status: Dict[int, int] = {}
     memo: Dict[Any, _Subtree] = {}
     track = {"leaves": 0, "reported": 0}
@@ -237,8 +250,7 @@ def check_scenario_incremental(
         contributors = getattr(
             harness.protocol, "completed_contributors", None)
         if contributors is not None:
-            evidence.contributors = [
-                tuple(p for p in pids) for pids in contributors]
+            evidence.contributors = list(contributors)
         authority = getattr(
             harness.protocol, "completed_authority", None)
         if authority is not None:
@@ -275,7 +287,7 @@ def check_scenario_incremental(
         result = CheckResult(scenario=scenario.name)
         order_status: Dict[int, int] = {}
         for order in iter_interleavings_shared(streams):
-            token = harness.snapshot()
+            token = mark()
             stats.snapshots += 1
             order_status.clear()
             for access in order:
@@ -302,7 +314,7 @@ def check_scenario_incremental(
                 if len(result.examples) < max_examples:
                     result.examples.append((tuple(order), violations))
             tick(1)
-            harness.restore(token)
+            undo_to(token)
             stats.restores += 1
         stats.leaves = result.total_interleavings
         stats.naive_accesses = stats.leaves * total_length
@@ -317,34 +329,30 @@ def check_scenario_incremental(
         snapshot/restore pair instead of one pair per access.  Counts
         and the retained example are identical to the unbatched walk.
         """
-        stream = streams[index]
-        pos = positions[index]
         if profiler is not None:
             t0 = time.perf_counter()
-            token = harness.snapshot()
+            token = mark()
             profiler.add_seconds("snapshot", time.perf_counter() - t0)
         else:
-            token = harness.snapshot()
+            token = mark()
         stats.snapshots += 1
-        tail = tuple(stream[pos:pos + remaining])
+        tail = tuple(streams[index][lengths[index] - remaining:])
         undos = []
         for access in tail:
             undos.append((access, deliver(access)))
-        positions[index] = pos + remaining
         stats.batched_deliveries += remaining
         node = leaf()
         if node.examples:
             node.examples = [(tail + suffix, violations)
                              for suffix, violations in node.examples]
-        positions[index] = pos
         for access, old in reversed(undos):
             undo_status(access, old)
         if profiler is not None:
             t0 = time.perf_counter()
-            harness.restore(token)
+            undo_to(token)
             profiler.add_seconds("restore", time.perf_counter() - t0)
         else:
-            harness.restore(token)
+            undo_to(token)
         stats.restores += 1
         return node
 
@@ -355,7 +363,7 @@ def check_scenario_incremental(
         if use_transposition:
             fingerprint = harness.fingerprint()
             if fingerprint is not None:
-                key = (tuple(positions),
+                key = (tuple(left),
                        tuple(sorted(final_status.items())),
                        fingerprint)
                 hit = memo.get(key)
@@ -365,9 +373,8 @@ def check_scenario_incremental(
                         profiler.count("transposition_hit")
                     tick(hit.leaves)
                     return hit
-        live = [i for i in range(len(streams)) if positions[i] < lengths[i]]
-        if len(live) == 1:
-            node = forced_tail(live[0], remaining)
+        if remaining in left:
+            node = forced_tail(left.index(remaining), remaining)
             if key is not None:
                 memo[key] = node
             return node
@@ -375,30 +382,32 @@ def check_scenario_incremental(
         if profiler is not None:
             profiler.count("expansion")
         for index, stream in enumerate(streams):
-            pos = positions[index]
-            if pos == lengths[index]:
+            n_left = left[index]
+            if not n_left:
                 continue
-            access = stream[pos]
+            access = stream[lengths[index] - n_left]
             if profiler is not None:
                 t0 = time.perf_counter()
-                token = harness.snapshot()
+                token = mark()
                 profiler.add_seconds("snapshot", time.perf_counter() - t0)
             else:
-                token = harness.snapshot()
+                token = mark()
             stats.snapshots += 1
             old = deliver(access)
-            positions[index] = pos + 1
+            left[index] = n_left - 1
             child = dfs(remaining - 1)
-            positions[index] = pos
+            left[index] = n_left
             undo_status(access, old)
             if profiler is not None:
                 t0 = time.perf_counter()
-                harness.restore(token)
+                undo_to(token)
                 profiler.add_seconds("restore", time.perf_counter() - t0)
             else:
-                harness.restore(token)
+                undo_to(token)
             stats.restores += 1
             node.leaves += child.leaves
+            if not child.violating:
+                continue
             node.violating += child.violating
             for prop, count in child.by_prop.items():
                 node.by_prop[prop] = node.by_prop.get(prop, 0) + count

@@ -1,9 +1,9 @@
 """Protocol-level replay harness and interleaving enumeration.
 
 Works directly against a fresh :class:`~repro.hw.dma.engine.DmaEngine`
-(no CPU, no scheduler): each :class:`AccessSpec` is delivered through the
-engine's MMIO interface exactly as the bus would deliver it.  This is the
-right level for exhaustive checking — the paper's §3.3.1 argument is
+(no CPU, no scheduler): each :class:`AccessSpec` is delivered to the
+engine entry point the MMIO decoder would hand that bus access to
+(``shadow_store``, ``context_load``, ...).  This is the right level for exhaustive checking — the paper's §3.3.1 argument is
 about the order in which accesses *reach the engine*, nothing else.
 
 The enumerator yields **every** interleaving of the given streams
@@ -31,7 +31,6 @@ from ..hw.dma.protocols.keyed import (
 from ..hw.dma.recognizer import SetupOp
 from ..hw.dma.shadow import ShadowLayout
 from ..hw.memory import PhysicalMemory
-from ..hw.pagetable import PAGE_SIZE
 from ..sim.engine import Simulator
 from ..sim.journal import UndoJournal
 from ..units import kib
@@ -52,7 +51,10 @@ class AccessSpec:
         data: data word for stores/exchanges.
         ctx_id: CONTEXT_ID — the address bits for shadow ops under
             extended shadow encoding, or the context page index for
-            ctx ops.
+            ctx ops.  The harness delivers the fields as already
+            decoded, so they must be what the engine's MMIO decoder
+            could produce: a context page the engine has, a CONTEXT_ID
+            that fits the shadow address, a non-negative argument.
         final: marks the access whose status is the process's verdict.
     """
 
@@ -101,26 +103,18 @@ class ProtocolHarness:
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, access: AccessSpec) -> Optional[int]:
-        """Deliver one access; returns the status for loads, else None."""
+        """Deliver one access; returns the status for loads, else None.
+
+        The spec's fields are the decoded access, so it goes straight to
+        the engine's decoded entry point (no shadow offset is built and
+        taken apart again).
+        """
+        route = _ROUTES.get(access.op)
+        if route is None:
+            raise VerificationError(f"unknown access op {access.op!r}")
         ctx = AccessContext(access.pid, False, self.sim.now)
         self.sim.advance(1)  # keep timestamps strictly ordered
-        if access.op in ("store", "load", "exchange"):
-            offset = (self.layout.shadow_offset
-                      + (access.ctx_id << self.layout.ctx_shift)
-                      + access.paddr)
-            if access.op == "store":
-                self.engine.mmio_write(offset, access.data, ctx)
-                return None
-            if access.op == "load":
-                return self.engine.mmio_read(offset, ctx)
-            return self.engine.mmio_exchange(offset, access.data, ctx)
-        if access.op == "ctx-store":
-            self.engine.mmio_write(access.ctx_id * PAGE_SIZE, access.data,
-                                   ctx)
-            return None
-        if access.op == "ctx-load":
-            return self.engine.mmio_read(access.ctx_id * PAGE_SIZE, ctx)
-        raise VerificationError(f"unknown access op {access.op!r}")
+        return route(self.engine, access, ctx)
 
     def replay(self, interleaving: Sequence[AccessSpec]) -> ReplayEvidence:
         """Reset and replay one interleaving, collecting evidence."""
@@ -192,6 +186,23 @@ class ProtocolHarness:
             return None
         return (self.sim.now, self.sim.live_event_signature(),
                 self.engine.fingerprint())
+
+
+#: op -> delivery of an :class:`AccessSpec` to the engine's decoded
+#: entry point (context-page ops address the size/status register, at
+#: page offset 0).
+_ROUTES = {
+    "store": lambda engine, a, ctx: engine.shadow_store(
+        a.ctx_id, a.paddr, a.data, ctx),
+    "load": lambda engine, a, ctx: engine.shadow_load(a.ctx_id, a.paddr,
+                                                      ctx),
+    "exchange": lambda engine, a, ctx: engine.shadow_exchange(
+        a.ctx_id, a.paddr, a.data, ctx),
+    "ctx-store": lambda engine, a, ctx: engine.context_store(
+        a.ctx_id, 0, a.data, ctx),
+    "ctx-load": lambda engine, a, ctx: engine.context_load(a.ctx_id, 0,
+                                                           ctx),
+}
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ Candidate order is guided two ways, interleaved by ``explore_ratio``:
 * **Bandit-prioritized DFS** over the stream space: the driver keeps a
   stack of partial streams and expands children in descending bandit
   score.  The bandit arms are (recognizer state label, vocabulary
-  index) pairs; after each candidate check, a cheap *probe* replays the
-  victim prefix at every split point and delivers the candidate's
+  index) pairs; after each candidate check, a cheap *probe* walks the
+  victim prefix to every split point and delivers the candidate's
   accesses one by one, crediting an arm whenever its access advanced
   the recognizer's :meth:`state_label`.  Accesses that historically
   move the pattern recognizer get tried first — exactly the accesses
@@ -389,16 +389,24 @@ def _probe(harness, victim: Sequence[AccessSpec],
     each (state label before, vocab index) whether the recognizer's
     label changed — the signal that this access *participates in* the
     pattern the recognizer is matching.
+
+    The prefixes share one walk: the victim's accesses are delivered
+    once each, the candidate pass at each split is undone through the
+    harness's journal back to that split's mark, and the harness ends
+    at the state it started in.
     """
+    root = harness.snapshot()
     for split in range(len(victim) + 1):
-        harness.reset()
-        for access in victim[:split]:
-            harness.deliver(access)
+        if split:
+            harness.deliver(victim[split - 1])
+        mark = harness.snapshot()
         for access, index in zip(accesses, indices):
             before = _state_label(harness)
             harness.deliver(access)
             bandit.credit(before, index,
                           advanced=_state_label(harness) != before)
+        harness.restore(mark)
+    harness.restore(root)
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +435,7 @@ def hunt_method(method: str, config: HuntConfig,
     bandit = _Bandit()
 
     # One reusable harness for bandit probes (probes never touch the
-    # checker's own harness).
+    # checker's own harness, and each leaves this one as built).
     probe_scenario = compose_scenario(method, victim, keys, profile,
                                       [], "probe")
     probe_harness = make_harness(probe_scenario)

@@ -63,10 +63,16 @@ def drop_fingerprint_caches(harness) -> None:
     """
     engine = harness.engine
     engine._ctx_fp = None
+    engine._ctx_fps = [None] * len(engine.contexts)
     engine._tables_fp = None
     engine._init_fp = ()
     engine.transfer_engine._fp_hist = ()
     harness.sim._sig = None
+    protocol = harness.protocol
+    if hasattr(protocol, "_completed_fp"):
+        protocol._completed_fp = ()
+    if hasattr(protocol, "_tables_fp"):
+        protocol._tables_fp = ()
 
 
 @contextlib.contextmanager
