@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import ConfigError
 from ...obs.spans import SpanTracer
@@ -128,6 +128,13 @@ class DmaTransferEngine:
         #: transfer values (the owning engine's context fingerprint)
         #: can tell whether a flag changed since it was built.
         self.flips = 0
+        # The queued completion event names this engine weakly: the
+        # engine holds the simulator, so a strong reference would keep a
+        # dropped machine or checker harness alive until the cyclic
+        # collector ran.  One reference serves every transfer.
+        self._self_ref = weakref.ref(self)
+        #: Completion event label per transfer size, built once each.
+        self._labels: Dict[int, str] = {}
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal."""
@@ -211,11 +218,8 @@ class DmaTransferEngine:
                 span.set(fault="drop")
             return transfer
 
-        # The queued event names this engine weakly: the engine holds
-        # the simulator, so a strong reference would keep a dropped
-        # machine or checker harness alive until the cyclic collector
-        # ran.  A completion whose engine is gone does nothing.
-        engine_ref = weakref.ref(self)
+        # A completion whose engine is gone does nothing.
+        engine_ref = self._self_ref
 
         def complete() -> None:
             engine = engine_ref()
@@ -238,8 +242,10 @@ class DmaTransferEngine:
 
         if fault is not None and fault[0] == "delay":
             transfer.duration += fault[1]
-        self.sim.schedule(transfer.duration, complete,
-                          label=f"dma-complete[{size}B]")
+        label = self._labels.get(size)
+        if label is None:
+            label = self._labels[size] = f"dma-complete[{size}B]"
+        self.sim.schedule(transfer.duration, complete, label=label)
         if fault is not None and fault[0] == "duplicate":
             # A second, spurious completion event re-runs the mover (an
             # idempotent copy) — visible as double-counted bytes_moved.

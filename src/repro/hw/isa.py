@@ -21,7 +21,8 @@ resolved by :func:`assemble`.  Register names follow Alpha conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigError
 
@@ -35,6 +36,9 @@ REGISTER_NAMES = (
     + tuple(f"s{i}" for i in range(7))
     + ("zero", "ra", "sp")
 )
+
+#: The same names, for membership tests.
+_REGISTER_SET = frozenset(REGISTER_NAMES)
 
 #: The canonical limit on PAL call length (the paper: "PAL code is
 #: organized in 16-instruction long PAL calls").
@@ -53,7 +57,7 @@ class Addr:
     disp: int = 0
 
     def __post_init__(self) -> None:
-        if self.base is not None and self.base not in REGISTER_NAMES:
+        if self.base is not None and self.base not in _REGISTER_SET:
             raise ConfigError(f"unknown base register {self.base!r}")
 
     def __repr__(self) -> str:
@@ -224,26 +228,33 @@ def assemble(source: Sequence[Instruction], name: str = "") -> Program:
 
 def _validate(program: Program) -> None:
     for index, instr in enumerate(program.instructions):
-        for reg in _registers_of(instr):
-            if reg not in REGISTER_NAMES:
+        operands, has_addr, has_target = _shape(type(instr))
+        for attr in operands:
+            reg = getattr(instr, attr)
+            if isinstance(reg, str) and reg not in _REGISTER_SET:
                 raise ConfigError(
                     f"{program.name!r}[{index}]: unknown register {reg!r}")
-        target = getattr(instr, "target", None)
-        if target is not None and target not in program.labels:
-            raise ConfigError(
-                f"{program.name!r}[{index}]: dangling label {target!r}")
+        if has_addr:
+            addr = instr.addr
+            if (addr is not None and addr.base is not None
+                    and addr.base not in _REGISTER_SET):
+                raise ConfigError(f"{program.name!r}[{index}]: unknown "
+                                  f"register {addr.base!r}")
+        if has_target:
+            target = instr.target
+            if target is not None and target not in program.labels:
+                raise ConfigError(
+                    f"{program.name!r}[{index}]: dangling label {target!r}")
 
 
-def _registers_of(instr: Instruction) -> List[str]:
-    regs: List[str] = []
-    for attr in ("dst", "src", "a", "b"):
-        value = getattr(instr, attr, None)
-        if isinstance(value, str):
-            regs.append(value)
-    addr = getattr(instr, "addr", None)
-    if addr is not None and addr.base is not None:
-        regs.append(addr.base)
-    return regs
+@lru_cache(maxsize=None)
+def _shape(cls: type) -> Tuple[Tuple[str, ...], bool, bool]:
+    """The fields :func:`_validate` reads, found once per instruction
+    class: the operands that may name a register, whether it has an
+    ``addr``, whether it has a branch ``target``."""
+    fields = getattr(cls, "__dataclass_fields__", {})
+    return (tuple(a for a in ("dst", "src", "a", "b") if a in fields),
+            "addr" in fields, "target" in fields)
 
 
 def count_memory_accesses(program: Program) -> int:

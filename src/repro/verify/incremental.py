@@ -32,17 +32,26 @@ Two further strategies keep small and degenerate inputs fast
 fast-replay of every order, and a node whose every remaining access
 belongs to one stream delivers the whole forced tail under a single
 snapshot/restore pair (counted in ``CheckStats.batched_deliveries``).
+
+The hunt passes one harness to every check of a method and takes its
+bandit's credits from the walk itself (``harness=``, ``label_credits=``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import VerificationError
 from ..obs.profile import PhaseProfiler
-from .interleave import AccessSpec, interleaving_count, iter_interleavings_shared
+from .interleave import (
+    AccessSpec,
+    ProtocolHarness,
+    interleaving_count,
+    iter_interleavings_shared,
+)
 from .model_check import (
     REJECTION_WORDS,
     CheckResult,
@@ -93,8 +102,9 @@ class CheckStats:
         transposition_hits: subtrees reused from the table.
         transposition_entries: distinct states stored in the table.
         journal_entries_replayed: undo-journal entries replayed across
-            all restores.
-        dirty_pages: RAM pages copied by the page-granular CoW layer.
+            all of this check's restores.
+        dirty_pages: RAM pages this check copied through the
+            page-granular CoW layer.
         batched_deliveries: accesses delivered inside forced-tail
             batches (a single live stream leaves no choice points, so
             the whole tail shares one snapshot/restore pair).
@@ -155,6 +165,8 @@ def check_scenario_incremental(
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
         profiler: Optional[PhaseProfiler] = None,
+        harness: Optional[ProtocolHarness] = None,
+        label_credits: Optional[List[Tuple[str, int, bool]]] = None,
 ) -> CheckResult:
     """Check a scenario with prefix sharing; naive-identical results.
 
@@ -179,9 +191,28 @@ def check_scenario_incremental(
             ``expansion`` / ``transposition_hit`` events.  When None
             (the default) the hot path pays one ``is not None`` test
             per operation.
+        harness: optional harness to check on instead of building one.
+            It must come from
+            :func:`~repro.verify.model_check.make_harness` for a scenario
+            with the same method, keys, setup, ``n_contexts`` and
+            ``page_bounded``, and sit at its root mark (every delivery
+            undone).  The check leaves it there, so one harness serves
+            every check of a method; the ``journal_entries_replayed``
+            and ``dirty_pages`` counters are this check's own.
+        label_credits: optional list to extend, in walk order, with one
+            ``(label, k, advanced)`` entry per split ``s`` of the first
+            stream and access ``k`` of the second (two streams only):
+            the protocol's ``state_label()`` after ``first[:s] +
+            second[:k]``, and whether delivering ``second[k]`` changed
+            it.  They are read from the walk's own deliveries: the DFS
+            takes the first stream's child first, so it reaches each such
+            state first along that very path, never as a transposition
+            hit, and fast replay plays ``first[:s] + second + first[s:]``
+            once per split (docs/verification.md, Level 4).
 
     Raises:
-        VerificationError: if the interleaving count exceeds the cap.
+        VerificationError: if the interleaving count exceeds the cap, or
+            *label_credits* is given for other than two streams.
     """
     streams = scenario.streams
     lengths = [len(s) for s in streams]
@@ -191,15 +222,23 @@ def check_scenario_incremental(
         raise VerificationError(
             f"scenario {scenario.name}: {expected} interleavings exceeds "
             f"cap {max_interleavings}")
+    if label_credits is not None and len(streams) != 2:
+        raise VerificationError(
+            f"scenario {scenario.name}: label credits need two streams, "
+            f"not {len(streams)}")
     if stats is None:
         stats = CheckStats()
 
-    harness = make_harness(scenario)
+    if harness is None:
+        harness = make_harness(scenario)
     # The first snapshot binds the harness's undo journal; from then on a
     # snapshot is the journal's O(1) mark and a restore its undo.
     harness.snapshot()
-    mark = harness.journal.mark
-    undo_to = harness.journal.undo_to
+    journal = harness.journal
+    mark = journal.mark
+    undo_to = journal.undo_to
+    replayed_before = journal.entries_replayed
+    dirty_before = harness.ram.dirty_pages_saved
     # Accesses left per stream: a stream's next access is at
     # lengths[i] - left[i], and a node whose remaining total equals one
     # stream's count has a forced tail.
@@ -207,10 +246,14 @@ def check_scenario_incremental(
     final_status: Dict[int, int] = {}
     memo: Dict[Any, _Subtree] = {}
     track = {"leaves": 0, "reported": 0}
+    # Whether the path to the current DFS node is first[:s] + second[:k],
+    # the path along which the second stream's deliveries earn credits.
+    probing = True
 
     def finish_stats() -> None:
-        stats.journal_entries_replayed = harness.journal.entries_replayed
-        stats.dirty_pages = harness.ram.dirty_pages_saved
+        stats.journal_entries_replayed = (journal.entries_replayed
+                                          - replayed_before)
+        stats.dirty_pages = harness.ram.dirty_pages_saved - dirty_before
 
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
@@ -226,6 +269,15 @@ def check_scenario_incremental(
             final_status[access.pid] = status
             return old
         return _NO_CHANGE
+
+    def credited(access: AccessSpec, k: int) -> Any:
+        """Deliver the second stream's access *k* on the probing path,
+        crediting its label change; returns :func:`deliver`'s token."""
+        state_label = harness.protocol.state_label
+        before = state_label()
+        old = deliver(access)
+        label_credits.append((before, k, state_label() != before))
+        return old
 
     def undo_status(access: AccessSpec, old: Any) -> None:
         if old is _NO_CHANGE:
@@ -285,24 +337,42 @@ def check_scenario_incremental(
     # retained examples are bit-identical.
     if expected < SMALL_SCENARIO_CUTOVER:
         result = CheckResult(scenario=scenario.name)
-        order_status: Dict[int, int] = {}
+        # Order index -> split s of the order first[:s] + second +
+        # first[s:], whose second-stream deliveries earn the credits.
+        # Orders run first-stream-first, so the C(m - s + n, n) orders
+        # that open with s first-stream accesses come first, and this
+        # one is the last of them.
+        probes: Optional[Dict[int, int]] = None
+        if label_credits is not None:
+            m, n = lengths
+            probes = {comb(m - s + n, n) - 1: s for s in range(m + 1)}
         for order in iter_interleavings_shared(streams):
             token = mark()
             stats.snapshots += 1
-            order_status.clear()
-            for access in order:
-                stats.accesses_delivered += 1
-                if profiler is not None:
-                    t0 = time.perf_counter()
-                    status = harness.deliver(access)
-                    profiler.add_seconds(
-                        "deliver", time.perf_counter() - t0)
-                else:
-                    status = harness.deliver(access)
-                if access.final and status is not None:
-                    order_status[access.pid] = status
+            final_status.clear()
+            split = (None if probes is None
+                     else probes.get(result.total_interleavings))
+            if split is None:
+                for access in order:
+                    stats.accesses_delivered += 1
+                    if profiler is not None:
+                        t0 = time.perf_counter()
+                        status = harness.deliver(access)
+                        profiler.add_seconds(
+                            "deliver", time.perf_counter() - t0)
+                    else:
+                        status = harness.deliver(access)
+                    if access.final and status is not None:
+                        final_status[access.pid] = status
+            else:
+                for position, access in enumerate(order):
+                    k = position - split
+                    if 0 <= k < lengths[1]:
+                        credited(access, k)
+                    else:
+                        deliver(access)
             t0 = time.perf_counter() if profiler is not None else 0.0
-            violations = evaluate(order_status)
+            violations = evaluate(final_status)
             if profiler is not None:
                 profiler.add_seconds("leaf", time.perf_counter() - t0)
             result.total_interleavings += 1
@@ -336,10 +406,15 @@ def check_scenario_incremental(
         else:
             token = mark()
         stats.snapshots += 1
-        tail = tuple(streams[index][lengths[index] - remaining:])
+        first = lengths[index] - remaining
+        tail = tuple(streams[index][first:])
         undos = []
-        for access in tail:
-            undos.append((access, deliver(access)))
+        if label_credits is not None and probing and index == 1:
+            for k, access in enumerate(tail, first):
+                undos.append((access, credited(access, k)))
+        else:
+            for access in tail:
+                undos.append((access, deliver(access)))
         stats.batched_deliveries += remaining
         node = leaf()
         if node.examples:
@@ -356,12 +431,37 @@ def check_scenario_incremental(
         stats.restores += 1
         return node
 
+    def probing_edge(index: int, access: AccessSpec, n_left: int,
+                     remaining: int) -> Tuple[Any, _Subtree]:
+        """One DFS edge of a check that harvests label credits: deliver
+        (crediting a second-stream access on the probing path) and walk
+        the child, keeping ``probing`` up to date."""
+        nonlocal probing
+        was = probing
+        if was and index == 1:
+            old = credited(access, lengths[1] - n_left)
+        else:
+            old = deliver(access)
+            # A first-stream access extends the probing path only while
+            # no second-stream access has been delivered.
+            probing = was and left[1] == lengths[1]
+        left[index] = n_left - 1
+        child = dfs(remaining - 1)
+        probing = was
+        return old, child
+
+    # The transposition table's state capture; None turns merging off.
+    # (It also keeps dfs's closure at 19 names: CPython 3.11 files a
+    # freed 20-item tuple on a free list it never takes from, so a
+    # 20-name closure would strand one tuple per check.)
+    fingerprint_of = harness.fingerprint if use_transposition else None
+
     def dfs(remaining: int) -> _Subtree:
         if remaining == 0:
             return leaf()
         key = None
-        if use_transposition:
-            fingerprint = harness.fingerprint()
+        if fingerprint_of is not None:
+            fingerprint = fingerprint_of()
             if fingerprint is not None:
                 key = (tuple(left),
                        tuple(sorted(final_status.items())),
@@ -393,9 +493,12 @@ def check_scenario_incremental(
             else:
                 token = mark()
             stats.snapshots += 1
-            old = deliver(access)
-            left[index] = n_left - 1
-            child = dfs(remaining - 1)
+            if label_credits is None:
+                old = deliver(access)
+                left[index] = n_left - 1
+                child = dfs(remaining - 1)
+            else:
+                old, child = probing_edge(index, access, n_left, remaining)
             left[index] = n_left
             undo_status(access, old)
             if profiler is not None:

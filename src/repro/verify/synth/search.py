@@ -13,12 +13,13 @@ Candidate order is guided two ways, interleaved by ``explore_ratio``:
 * **Bandit-prioritized DFS** over the stream space: the driver keeps a
   stack of partial streams and expands children in descending bandit
   score.  The bandit arms are (recognizer state label, vocabulary
-  index) pairs; after each candidate check, a cheap *probe* walks the
-  victim prefix to every split point and delivers the candidate's
-  accesses one by one, crediting an arm whenever its access advanced
-  the recognizer's :meth:`state_label`.  Accesses that historically
-  move the pattern recognizer get tried first — exactly the accesses
-  that can complete someone else's pattern.
+  index) pairs.  The candidate check's own walk reports, for every
+  split point of the victim stream and every candidate access, whether
+  that access advanced the recognizer's :meth:`state_label` after the
+  victim prefix and the candidate's earlier accesses; each report
+  credits an arm.  Accesses that historically move the pattern
+  recognizer get tried first — exactly the accesses that can complete
+  someone else's pattern.
 * **Hypothesis-driven random exploration**: a seeded random stream
   drawn with the bandit's current scores as selection weights — the
   "what if the learned distribution is sampled freely" mode that
@@ -33,7 +34,7 @@ two runs with one seed are byte-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...errors import VerificationError
@@ -374,41 +375,6 @@ class _Bandit:
         return [(1 + advances[i]) / (2 + tries[i]) for i in range(n)]
 
 
-def _state_label(harness) -> str:
-    label = getattr(harness.protocol, "state_label", None)
-    return label() if callable(label) else "-"
-
-
-def _probe(harness, victim: Sequence[AccessSpec],
-           accesses: Sequence[AccessSpec], indices: Sequence[int],
-           bandit: _Bandit) -> None:
-    """Replay victim prefixes + the candidate, crediting bandit arms.
-
-    For every split point of the victim stream, deliver the victim
-    prefix then the candidate's accesses one at a time, recording for
-    each (state label before, vocab index) whether the recognizer's
-    label changed — the signal that this access *participates in* the
-    pattern the recognizer is matching.
-
-    The prefixes share one walk: the victim's accesses are delivered
-    once each, the candidate pass at each split is undone through the
-    harness's journal back to that split's mark, and the harness ends
-    at the state it started in.
-    """
-    root = harness.snapshot()
-    for split in range(len(victim) + 1):
-        if split:
-            harness.deliver(victim[split - 1])
-        mark = harness.snapshot()
-        for access, index in zip(accesses, indices):
-            before = _state_label(harness)
-            harness.deliver(access)
-            bandit.credit(before, index,
-                          advanced=_state_label(harness) != before)
-        harness.restore(mark)
-    harness.restore(root)
-
-
 # ----------------------------------------------------------------------
 # the hunt
 # ----------------------------------------------------------------------
@@ -434,11 +400,12 @@ def hunt_method(method: str, config: HuntConfig,
     vocab = access_vocabulary(profile)
     bandit = _Bandit()
 
-    # One reusable harness for bandit probes (probes never touch the
-    # checker's own harness, and each leaves this one as built).
-    probe_scenario = compose_scenario(method, victim, keys, profile,
-                                      [], "probe")
-    probe_harness = make_harness(probe_scenario)
+    # Every candidate differs only in its adversary stream, so one
+    # harness serves every check: each leaves it as built.
+    harness = make_harness(compose_scenario(method, victim, keys, profile,
+                                            [], "harness"))
+    # (state label, candidate position, advanced), from each check's walk.
+    credits: List[Tuple[str, int, bool]] = []
 
     seen: Set[Tuple[int, ...]] = set()
     # DFS stack of partial streams (tuples of vocab indices); children
@@ -484,17 +451,19 @@ def hunt_method(method: str, config: HuntConfig,
                                         accesses,
                                         tag=str(report.candidates))
             stats = CheckStats()
+            credits.clear()
             if profiler is not None:
                 with profiler.phase("check"):
                     result = check_scenario_incremental(
                         scenario, max_examples=1,
                         max_interleavings=config.max_interleavings,
-                        stats=stats)
+                        stats=stats, harness=harness,
+                        label_credits=credits)
             else:
                 result = check_scenario_incremental(
                     scenario, max_examples=1,
                     max_interleavings=config.max_interleavings,
-                    stats=stats)
+                    stats=stats, harness=harness, label_credits=credits)
             report.candidates += 1
             report.interleavings += result.total_interleavings
             report.accesses_delivered += stats.accesses_delivered
@@ -513,12 +482,8 @@ def hunt_method(method: str, config: HuntConfig,
                         report.shrunk = shrink_counterexample(
                             scenario, order)
                 break
-            if profiler is not None:
-                with profiler.phase("probe"):
-                    _probe(probe_harness, victim, accesses, candidate,
-                           bandit)
-            else:
-                _probe(probe_harness, victim, accesses, candidate, bandit)
+            for label, position, advanced in credits:
+                bandit.credit(label, candidate[position], advanced)
     finally:
         report.elapsed_s = time.monotonic() - started
         if tracer is not None and span is not None:

@@ -7,6 +7,7 @@ from repro.hw.isa import (
     Add,
     Addr,
     Beq,
+    Bne,
     CompareExchange,
     Halt,
     Jump,
@@ -85,3 +86,34 @@ def test_jump_target_validated():
 
 def test_program_len():
     assert len(Program([Halt()], {})) == 1
+
+
+@pytest.mark.parametrize("instr", [
+    Load("r1", Addr(None, 0)),
+    Store(Addr(None, 0), "r1"),
+    CompareExchange("r1", Addr(None, 0), 1),
+    CompareExchange("t0", Addr(None, 0), "r1"),
+    Mov("t0", "r1"),
+    Add("t0", "r1", 1),
+    Add("t0", 1, "r1"),
+    Beq("r1", 0, "top"),
+    Bne(0, "r1", "top"),
+], ids=repr)
+def test_unknown_register_rejected_in_every_operand(instr):
+    with pytest.raises(ConfigError, match=r"\[0\]: unknown register 'r1'"):
+        assemble([Label("top"), instr], name="p")
+
+
+def test_unknown_base_register_rejected_at_assembly():
+    # Addr validates its base on construction; assemble checks it again
+    # for an address built around that check.
+    addr = Addr(None, 0)
+    object.__setattr__(addr, "base", "r1")
+    with pytest.raises(ConfigError, match="unknown register 'r1'"):
+        assemble([Load("t0", addr)])
+
+
+def test_immediate_operands_need_no_register_name():
+    program = assemble([Label("top"), Store(Addr("a0", 8), 7),
+                        Add("t0", 1, 2), Beq(0, 0, "top")])
+    assert len(program) == 3
