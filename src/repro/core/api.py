@@ -40,7 +40,7 @@ from ..hw.dma.protocols.keyed import (
     ARG_SOURCE,
     pack_key_word,
 )
-from ..os.process import Process, shadow_vaddr
+from ..os.process import SHADOW_VOFFSET, Process
 from ..units import Time, to_us
 from .machine import PAL_DMA_FUNCTION, Workstation
 
@@ -156,6 +156,10 @@ class DmaChannel:
                     raise ConfigError(
                         f"{proc.name} is bound to {binding.method!r} but "
                         f"the machine runs {self.method.name!r}")
+        #: The method's sequence builder, looked up once (a plain
+        #: function: a bound method would reach the channel from itself).
+        self._build = _SEQUENCE_BUILDERS.get(self.method.name,
+                                             DmaChannel._no_sequence)
 
     # ------------------------------------------------------------------
     # sequence construction (the code from the paper's figures)
@@ -174,44 +178,55 @@ class DmaChannel:
                 with a relaxed write buffer reproduces the failure the
                 footnote warns about.
         """
-        name = self.method.name
-        if name == "kernel":
-            return [Mov("a0", vsrc), Mov("a1", vdst), Mov("a2", size),
-                    Syscall("dma")]
-        if name == "shrimp1":
-            return [CompareExchange("v0", self._shadow(vsrc), size)]
-        if name in ("shrimp2", "flash", "extshadow",
-                    "iommu", "iommu_noshootdown"):
-            # For the iommu methods the shadow mappings encode the
-            # buffer's virtual address, so the same two instructions
-            # present IOVAs the engine translates.
-            return [Store(self._shadow(vdst), size),
-                    Load("v0", self._shadow(vsrc))]
-        if name == "pal":
-            return [Mov("a0", vsrc), Mov("a1", vdst), Mov("a2", size),
-                    CallPal(PAL_DMA_FUNCTION)]
-        if name == "keyed":
-            return self._keyed_sequence(vsrc, vdst, size)
-        if name in ("capio", "capio_noepoch"):
-            return self._capio_sequence(vsrc, vdst, size)
-        if name in ("repeated3", "repeated4", "repeated5"):
-            return self._repeated_sequence(vsrc, vdst, size,
-                                           with_retry=with_retry,
-                                           with_mb=with_mb)
-        raise ConfigError(f"no sequence builder for method {name!r}")
+        return self._build(self, vsrc, vdst, size, with_retry, with_mb)
 
     def program(self, vsrc: int, vdst: int, size: int,
                 with_retry: bool = True, with_mb: bool = True,
                 name: str = "") -> Program:
         """The sequence assembled into a runnable program (ends in Halt)."""
-        instructions = self.sequence(vsrc, vdst, size,
-                                     with_retry=with_retry, with_mb=with_mb)
-        instructions.append(Halt())
+        instructions = self._build(self, vsrc, vdst, size, with_retry,
+                                   with_mb)
+        instructions.append(_HALT)
         return assemble(instructions,
                         name=name or f"dma-{self.method.name}")
 
-    def _keyed_sequence(self, vsrc: int, vdst: int,
-                        size: int) -> List[Instruction]:
+    def _kernel_sequence(self, vsrc: int, vdst: int, size: int,
+                         with_retry: bool,
+                         with_mb: bool) -> List[Instruction]:
+        """Fig. 1: the arguments in registers, then the ``dma`` syscall."""
+        return [Mov("a0", vsrc), Mov("a1", vdst), Mov("a2", size),
+                _SYSCALL_DMA]
+
+    def _shrimp1_sequence(self, vsrc: int, vdst: int, size: int,
+                          with_retry: bool,
+                          with_mb: bool) -> List[Instruction]:
+        """§2.4: one atomic exchange on the source's shadow."""
+        return [CompareExchange("v0", _shadow(vsrc), size)]
+
+    def _shadow_pair_sequence(self, vsrc: int, vdst: int, size: int,
+                              with_retry: bool,
+                              with_mb: bool) -> List[Instruction]:
+        """The two-access store/load sequence (SHRIMP-2, FLASH, extended
+        shadow).  For the iommu methods the shadow mappings encode the
+        buffer's virtual address, so the same two instructions present
+        IOVAs the engine translates."""
+        return [Store(_shadow(vdst), size), Load("v0", _shadow(vsrc))]
+
+    def _pal_sequence(self, vsrc: int, vdst: int, size: int,
+                      with_retry: bool,
+                      with_mb: bool) -> List[Instruction]:
+        """§2.7: the arguments in registers, then the PAL call."""
+        return [Mov("a0", vsrc), Mov("a1", vdst), Mov("a2", size),
+                _CALL_PAL_DMA]
+
+    def _no_sequence(self, vsrc: int, vdst: int, size: int,
+                     with_retry: bool, with_mb: bool) -> List[Instruction]:
+        raise ConfigError(
+            f"no sequence builder for method {self.method.name!r}")
+
+    def _keyed_sequence(self, vsrc: int, vdst: int, size: int,
+                        with_retry: bool,
+                        with_mb: bool) -> List[Instruction]:
         """Fig. 3: two keyed shadow stores, a size store, a status load."""
         binding = self.proc.dma_binding
         if binding.key is None or binding.ctx_id is None:
@@ -219,17 +234,18 @@ class DmaChannel:
                 f"{self.proc.name} has no key/context for keyed DMA")
         ctx_page = Addr(None, binding.ctx_page_vaddr)
         return [
-            Store(self._shadow(vdst),
+            Store(_shadow(vdst),
                   pack_key_word(binding.key, binding.ctx_id,
                                 ARG_DESTINATION)),
-            Store(self._shadow(vsrc),
+            Store(_shadow(vsrc),
                   pack_key_word(binding.key, binding.ctx_id, ARG_SOURCE)),
             Store(ctx_page, size),
             Load("v0", ctx_page),
         ]
 
-    def _capio_sequence(self, vsrc: int, vdst: int,
-                        size: int) -> List[Instruction]:
+    def _capio_sequence(self, vsrc: int, vdst: int, size: int,
+                        with_retry: bool,
+                        with_mb: bool) -> List[Instruction]:
         """Two capability-token stores, a size store, a status load.
 
         The store address is ``window + offset`` (the byte offset into
@@ -246,7 +262,7 @@ class DmaChannel:
         # posted stores (footnote 6) — a barrier keeps both visible.
         return [
             self._capio_store(binding, vdst, ARG_DESTINATION),
-            Mb(),
+            _MB,
             self._capio_store(binding, vsrc, ARG_SOURCE),
             Store(ctx_page, size),
             Load("v0", ctx_page),
@@ -272,14 +288,14 @@ class DmaChannel:
                            with_mb: bool) -> List[Instruction]:
         """Figs. 5-7: the 3-, 4-, and 5-access repeated-passing code."""
         length = int(self.method.name[-1])
-        shadow_src = self._shadow(vsrc)
-        shadow_dst = self._shadow(vdst)
+        shadow_src = _shadow(vsrc)
+        shadow_dst = _shadow(vdst)
         seq: List[Instruction] = []
 
         def store_dst() -> None:
             seq.append(Store(shadow_dst, size))
             if with_mb:
-                seq.append(Mb())
+                seq.append(_MB)
 
         def load_src(reg: str) -> None:
             seq.append(Load(reg, shadow_src))
@@ -311,10 +327,6 @@ class DmaChannel:
             seq.append(Beq("v0", STATUS_PENDING, "retry"))
         return seq
 
-    def _shadow(self, vaddr: int) -> Addr:
-        """The shadow virtual address of *vaddr*, as an absolute operand."""
-        return Addr(None, shadow_vaddr(vaddr))
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -339,7 +351,7 @@ class DmaChannel:
                                 method=self.method.name, pid=self.proc.pid,
                                 via=self.via, size=size)
         start = ws.sim.now
-        status = ws.run_thread(thread)
+        status = ws.cpu.run(thread)
         elapsed = ws.sim.now - start
         if status is StepStatus.FAULTED:
             result = InitiationResult(STATUS_FAILURE, elapsed, thread)
@@ -379,7 +391,7 @@ class DmaChannel:
             Beq("v0", STATUS_FAILURE, "done"),
             Bne("v0", 0, "poll"),
             Label("done"),
-            Halt(),
+            _HALT,
         ]
         return assemble(instructions,
                         name=f"dma-poll-{self.method.name}")
@@ -466,53 +478,59 @@ class DmaChannel:
         *wait*, when its transfer completes within the policy's timeout.
         """
         policy = policy if policy is not None else DEFAULT_RETRY_POLICY
-        stats = self.ws.stats
-        root = self._begin_reliable_span(size)
-        start = self.ws.sim.now
+        ws = self.ws
+        counts = ws.counts
+        root = None
+        if ws.spans.enabled:
+            root = ws.spans.begin("dma.reliable",
+                                  track=f"proc{self.proc.pid}",
+                                  method=self.method.name,
+                                  pid=self.proc.pid, via=self.via,
+                                  size=size)
+        # Whether ending the operation has a span to close or a sample
+        # to poll: with both off, the end costs nothing.
+        observed = root is not None or ws.metrics.enabled
+        start = ws.sim.now
         for attempt in range(1, policy.max_attempts + 1):
             initiation, transfer = self._try_once(self, vsrc, vdst, size,
                                                   policy, wait)
-            if self._succeeded(initiation, transfer, wait):
-                self._end_reliable_span(
-                    root, "completed" if attempt == 1 else "retried",
-                    attempt)
+            if _succeeded(initiation, transfer, wait):
+                if observed:
+                    self._end_reliable_span(
+                        root, "completed" if attempt == 1 else "retried",
+                        attempt)
                 return self._reliable_success(initiation, attempt, False,
                                               transfer, start)
             if transfer is not None:
-                stats.counter("dma.completion_timeouts").add()
-            stats.counter("dma.retries").add()
+                counts["dma.completion_timeouts"].value += 1
+            counts["dma.retries"].value += 1
             if attempt < policy.max_attempts:
                 self._backoff(policy, attempt)
-        stats.counter("dma.retry_exhausted").add()
+        counts["dma.retry_exhausted"].value += 1
         if policy.kernel_fallback and self.via == "user":
             fb = None
-            if self.ws.spans.enabled:
-                fb = self.ws.spans.begin("dma.fallback",
-                                         track=f"proc{self.proc.pid}",
-                                         pid=self.proc.pid)
+            if ws.spans.enabled:
+                fb = ws.spans.begin("dma.fallback",
+                                    track=f"proc{self.proc.pid}",
+                                    pid=self.proc.pid)
             initiation, transfer = self._try_once(
                 self._kernel_channel(), vsrc, vdst, size, policy, wait)
             if fb is not None:
-                self.ws.spans.end(fb, ok=initiation.ok)
-            stats.counter("dma.kernel_fallbacks").add()
+                ws.spans.end(fb, ok=initiation.ok)
+            counts["dma.kernel_fallbacks"].value += 1
             attempts = policy.max_attempts + 1
-            self._end_reliable_span(root, "fell-back", attempts)
-            if self._succeeded(initiation, transfer, wait):
+            if observed:
+                self._end_reliable_span(root, "fell-back", attempts)
+            if _succeeded(initiation, transfer, wait):
                 return self._reliable_success(initiation, attempts, True,
                                               transfer, start)
             return ReliableResult(initiation, attempts, True,
                                   transfer=transfer,
-                                  recovery_time=self.ws.sim.now - start)
-        self._end_reliable_span(root, "aborted", policy.max_attempts)
+                                  recovery_time=ws.sim.now - start)
+        if observed:
+            self._end_reliable_span(root, "aborted", policy.max_attempts)
         return ReliableResult(initiation, policy.max_attempts, False,
-                              recovery_time=self.ws.sim.now - start)
-
-    @staticmethod
-    def _succeeded(initiation: InitiationResult,
-                   transfer: Optional[Transfer], wait: bool) -> bool:
-        if wait:
-            return transfer is not None and transfer.completed
-        return initiation.ok
+                              recovery_time=ws.sim.now - start)
 
     @staticmethod
     def _try_once(channel: "DmaChannel", vsrc: int, vdst: int, size: int,
@@ -520,10 +538,11 @@ class DmaChannel:
         """One bounded attempt: initiate, then (with *wait*) wait for the
         transfer until the policy's completion timeout."""
         ws = channel.ws
-        history = ws.engine.transfer_engine.history
+        history = ws.nic.transfer_engine.history
         before = len(history)
         initiation = channel.initiate(vsrc, vdst, size)
-        if not wait or not initiation.ok or len(history) <= before:
+        if (not wait or is_rejection(initiation.status)
+                or len(history) <= before):
             return initiation, None
         transfer = history[-1]
         wsp = None
@@ -536,16 +555,7 @@ class DmaChannel:
             ws.spans.end(wsp, completed=transfer.completed)
         return initiation, transfer
 
-    # -- span helpers for the hardened paths --------------------------------
-
-    def _begin_reliable_span(self, size: int):
-        if not self.ws.spans.enabled:
-            return None
-        return self.ws.spans.begin("dma.reliable",
-                                   track=f"proc{self.proc.pid}",
-                                   method=self.method.name,
-                                   pid=self.proc.pid, via=self.via,
-                                   size=size)
+    # -- helpers for the hardened paths ----------------------------------------
 
     def _end_reliable_span(self, root, outcome: str, attempts: int) -> None:
         if root is not None:
@@ -568,10 +578,11 @@ class DmaChannel:
     def _reliable_success(self, initiation: InitiationResult, attempts: int,
                           fell_back: bool, transfer: Optional[Transfer],
                           start: Time) -> ReliableResult:
-        elapsed = self.ws.sim.now - start
-        self.ws.stats.latency("dma.recovery").record(elapsed)
+        ws = self.ws
+        elapsed = ws.sim.now - start
+        ws.latencies["dma.recovery"].record(elapsed)
         if attempts > 1 or fell_back:
-            self.ws.stats.counter("dma.recoveries").add()
+            ws.counts["dma.recoveries"].value += 1
         return ReliableResult(initiation, attempts, fell_back,
                               transfer=transfer, recovery_time=elapsed)
 
@@ -583,6 +594,44 @@ class DmaChannel:
             self._retry_rng = policy.make_rng(
                 self.ws.config.seed * 1_000_003 + self.proc.pid)
         return self._retry_rng
+
+
+def _succeeded(initiation: InitiationResult,
+               transfer: Optional[Transfer], wait: bool) -> bool:
+    """Whether one attempt of a hardened operation succeeded."""
+    if wait:
+        return transfer is not None and transfer.completed
+    return not is_rejection(initiation.status)
+
+
+def _shadow(vaddr: int) -> Addr:
+    """The shadow virtual address of *vaddr*, as an absolute operand."""
+    return Addr(None, vaddr + SHADOW_VOFFSET)
+
+
+# Operand-free instructions are immutable, so every program shares one.
+_HALT = Halt()
+_MB = Mb()
+_SYSCALL_DMA = Syscall("dma")
+_CALL_PAL_DMA = CallPal(PAL_DMA_FUNCTION)
+
+#: Each method's sequence builder (the code from the paper's figures).
+_SEQUENCE_BUILDERS = {
+    "kernel": DmaChannel._kernel_sequence,
+    "shrimp1": DmaChannel._shrimp1_sequence,
+    "shrimp2": DmaChannel._shadow_pair_sequence,
+    "flash": DmaChannel._shadow_pair_sequence,
+    "extshadow": DmaChannel._shadow_pair_sequence,
+    "iommu": DmaChannel._shadow_pair_sequence,
+    "iommu_noshootdown": DmaChannel._shadow_pair_sequence,
+    "pal": DmaChannel._pal_sequence,
+    "keyed": DmaChannel._keyed_sequence,
+    "capio": DmaChannel._capio_sequence,
+    "capio_noepoch": DmaChannel._capio_sequence,
+    "repeated3": DmaChannel._repeated_sequence,
+    "repeated4": DmaChannel._repeated_sequence,
+    "repeated5": DmaChannel._repeated_sequence,
+}
 
 
 def open_channel(ws: Workstation, proc: Process) -> DmaChannel:

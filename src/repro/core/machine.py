@@ -41,7 +41,7 @@ from ..os.process import SHADOW_VOFFSET, Process
 from ..os.scheduler import Scheduler, SchedulingPolicy
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
-from ..sim.stats import StatRegistry
+from ..sim.stats import BoundStats, StatRegistry
 from ..units import Time, mib
 from .methods import get_method, make_protocol
 from .timing import ALPHA3000_TURBOCHANNEL, MachineTiming
@@ -127,6 +127,10 @@ class Workstation:
         #: Machine-level counters and latencies (retry/fallback activity
         #: of the reliable DMA paths lands here; see repro.core.api).
         self.stats = StatRegistry("ws")
+        #: The same registry's counters and latency stats by name, each
+        #: created on first use (the reliable paths count through these).
+        self.counts = BoundStats(self.stats.counter)
+        self.latencies = BoundStats(self.stats.latency)
         #: Causal span tracer shared by the API layer, the engine, the
         #: transfer engine, the CPU, the scheduler, and the atomic unit —
         #: the machine's one event recorder (one coherent span tree).

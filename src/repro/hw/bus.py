@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import BusError, ConfigError
 from ..sim.clock import Clock
-from ..sim.stats import StatRegistry
+from ..sim.stats import Counter, StatRegistry
 from ..units import Time, mhz
 from .device import AccessContext, MmioDevice
 from .memory import PhysicalMemory
@@ -87,17 +87,6 @@ BUS_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class _Window:
-    base: int
-    size: int
-    device: MmioDevice
-
-    @property
-    def limit(self) -> int:
-        return self.base + self.size
-
-
 class Bus:
     """Routes physical word accesses to RAM or device windows.
 
@@ -112,7 +101,17 @@ class Bus:
         self.timing = timing
         self.clock = timing.clock()
         self.stats = stats if stats is not None else StatRegistry("bus")
-        self._windows: List[_Window] = []
+        #: ``(base, limit, device)`` per window, in base order: every
+        #: access scans it, so the bounds are plain ints.
+        self._windows: Tuple[Tuple[int, int, MmioDevice], ...] = ()
+        # Per-access costs, converted once.
+        self._device_read_ps = self.clock.cycles(timing.device_read_cycles)
+        self._device_write_ps = self.clock.cycles(timing.device_write_cycles)
+        self._ram_word_ps = self.clock.cycles(timing.ram_word_cycles)
+        # The device access counters, bound when first counted so the
+        # registry lists its counters in the order they were first used.
+        self._device_reads: Optional[Counter] = None
+        self._device_writes: Optional[Counter] = None
 
     # -- topology ---------------------------------------------------------------
 
@@ -128,29 +127,32 @@ class Bus:
             raise ConfigError(
                 f"device window {base:#x} overlaps RAM "
                 f"(size {self.ram.size:#x})")
-        new = _Window(base, size, device)
-        for window in self._windows:
-            if new.base < window.limit and window.base < new.limit:
+        limit = base + size
+        for other_base, other_limit, other in self._windows:
+            if base < other_limit and other_base < limit:
                 raise ConfigError(
-                    f"window for {device.name} overlaps {window.device.name}")
-        self._windows.append(new)
-        self._windows.sort(key=lambda w: w.base)
+                    f"window for {device.name} overlaps {other.name}")
+        self._windows = tuple(sorted(self._windows + ((base, limit, device),),
+                                     key=lambda window: window[0]))
 
     def find_window(self, paddr: int) -> Optional[Tuple[MmioDevice, int]]:
         """Return (device, offset) owning *paddr*, or None."""
-        for window in self._windows:
-            if window.base <= paddr < window.limit:
-                return window.device, paddr - window.base
+        for base, limit, device in self._windows:
+            if base <= paddr < limit:
+                return device, paddr - base
         return None
 
     def is_device(self, paddr: int) -> bool:
         """Whether *paddr* falls in any device window."""
-        return self.find_window(paddr) is not None
+        for base, limit, _ in self._windows:
+            if base <= paddr < limit:
+                return True
+        return False
 
     @property
     def devices(self) -> List[MmioDevice]:
         """All attached devices, in window order."""
-        return [w.device for w in self._windows]
+        return [device for _, _, device in self._windows]
 
     # -- timed accesses ------------------------------------------------------------
 
@@ -163,16 +165,18 @@ class Bus:
         Raises:
             BusError: if *paddr* is neither RAM nor a device window.
         """
-        hit = self.find_window(paddr)
-        if hit is not None:
-            device, offset = hit
-            self.stats.counter("device_reads").add()
-            value = device.mmio_read(offset, ctx)
-            return value, self.clock.cycles(self.timing.device_read_cycles)
+        for base, limit, device in self._windows:
+            if base <= paddr < limit:
+                counter = self._device_reads
+                if counter is None:
+                    counter = self._device_reads = self.stats.counter(
+                        "device_reads")
+                counter.value += 1
+                return (device.mmio_read(paddr - base, ctx),
+                        self._device_read_ps)
         if self.ram.contains(paddr, 8):
             self.stats.counter("ram_reads").add()
-            return (self.ram.read_word(paddr),
-                    self.clock.cycles(self.timing.ram_word_cycles))
+            return self.ram.read_word(paddr), self._ram_word_ps
         raise BusError(paddr, "read")
 
     def write_word(self, paddr: int, value: int,
@@ -182,16 +186,19 @@ class Bus:
         Raises:
             BusError: if *paddr* is neither RAM nor a device window.
         """
-        hit = self.find_window(paddr)
-        if hit is not None:
-            device, offset = hit
-            self.stats.counter("device_writes").add()
-            device.mmio_write(offset, value, ctx)
-            return self.clock.cycles(self.timing.device_write_cycles)
+        for base, limit, device in self._windows:
+            if base <= paddr < limit:
+                counter = self._device_writes
+                if counter is None:
+                    counter = self._device_writes = self.stats.counter(
+                        "device_writes")
+                counter.value += 1
+                device.mmio_write(paddr - base, value, ctx)
+                return self._device_write_ps
         if self.ram.contains(paddr, 8):
             self.stats.counter("ram_writes").add()
             self.ram.write_word(paddr, value)
-            return self.clock.cycles(self.timing.ram_word_cycles)
+            return self._ram_word_ps
         raise BusError(paddr, "write")
 
     def dma_stream_cost(self, nbytes: int) -> Time:

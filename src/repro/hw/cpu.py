@@ -32,7 +32,7 @@ from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
 from ..obs.spans import SpanTracer
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
-from ..sim.stats import Counter, StatRegistry
+from ..sim.stats import BoundStats, StatRegistry
 from ..units import Time
 from .bus import Bus
 from .device import AccessContext
@@ -44,7 +44,6 @@ from .isa import (
     CallPal,
     CompareExchange,
     Halt,
-    Instruction,
     Jump,
     Load,
     Mb,
@@ -177,10 +176,23 @@ class Cpu:
             sim.time_source())
         self.name = name
         self.stats = StatRegistry(name)
-        self._count = _BoundCounters(self.stats)
+        self._count = BoundStats(self.stats.counter)
         #: Picoseconds per cycle cost, each converted once: the costs
         #: are a handful of constants and round the same way every time.
         self._cycle_ps: Dict[float, Time] = {}
+        # The instruction costs the handlers charge, in ps, converted
+        # once here rather than on every instruction.
+        cycles = clock.cycles
+        self._base_ps = cycles(costs.base_cycles)
+        self._mem_ps = cycles(costs.mem_cycles)
+        self._uncached_ps = cycles(costs.base_cycles
+                                   + costs.uncached_issue_cycles)
+        self._mb_ps = cycles(costs.mb_cycles)
+        self._branch_ps = cycles(costs.branch_cycles)
+        self._pal_entry_ps = cycles(costs.pal_entry_cycles)
+        self._pal_exit_ps = cycles(costs.pal_exit_cycles)
+        self._syscall_entry_ps = cycles(costs.syscall_entry_cycles)
+        self._syscall_exit_ps = cycles(costs.syscall_exit_cycles)
         self._pal_functions: Dict[str, Program] = {}
         self._syscalls: Dict[str, SyscallHandler] = {}
         self._in_pal = False
@@ -236,33 +248,8 @@ class Cpu:
         thread's page table.  PAL calls and syscalls complete entirely
         within one step — this is the atomicity the paper leans on.
         """
-        if thread.done:
-            return StepStatus.HALTED if thread.halted else StepStatus.FAULTED
-        if thread.pc >= len(thread.program):
-            thread.halted = True
-            return StepStatus.HALTED
-        instr = thread.program.instructions[thread.pc]
-        self._current_thread = thread
-        try:
-            next_pc = self._execute(thread, instr)
-        except (PageFault, ProtectionFault) as exc:
-            thread.fault = Fault(
-                kind=type(exc).__name__,
-                vaddr=exc.vaddr,
-                access=exc.access,
-                pc=thread.pc,
-            )
-            self._count["faults"].value += 1
-            self.spans.instant("cpu.fault", track=self.name,
-                               pid=thread.pid, pc=thread.pc,
-                               fault=thread.fault.kind, vaddr=exc.vaddr)
-            return StepStatus.FAULTED
-        thread.pc = next_pc
-        thread.instructions_retired += 1
-        self._count["instructions"].value += 1
-        if thread.halted:
-            return StepStatus.HALTED
-        return StepStatus.RUNNING
+        status = self._retire(thread, 1)
+        return StepStatus.RUNNING if status is None else status
 
     def run(self, thread: Thread, max_instructions: int = 1_000_000,
             ) -> StepStatus:
@@ -281,123 +268,175 @@ class Cpu:
         """
         switching = self.mmu.page_table is not thread.page_table
         self.mmu.activate(thread.page_table, flush=switching)
-        for _ in range(max_instructions):
-            status = self.step(thread)
-            if status is not StepStatus.RUNNING:
-                return status
-        raise ReproError(
-            f"thread {thread.pid} exceeded {max_instructions} instructions")
+        status = self._retire(thread, max_instructions)
+        if status is None:
+            raise ReproError(
+                f"thread {thread.pid} exceeded {max_instructions} "
+                f"instructions")
+        return status
+
+    def _retire(self, thread: Thread, budget: int) -> Optional[StepStatus]:
+        """Execute *thread* for up to *budget* steps: the one loop behind
+        :meth:`step` (a budget of one) and :meth:`run`.
+
+        A step retires one instruction, or finds the program ended (the
+        thread halts) or the thread already done.  Returns the status
+        the thread stopped in, or None if it is still running when the
+        budget runs out.
+        """
+        if budget < 1:
+            return None
+        if thread.halted:
+            return StepStatus.HALTED
+        if thread.fault is not None:
+            return StepStatus.FAULTED
+        instructions = thread.program.instructions
+        end = len(instructions)
+        count = self._count
+        self._current_thread = thread
+        for _ in range(budget):
+            pc = thread.pc
+            if pc >= end:
+                thread.halted = True
+                return StepStatus.HALTED
+            instr = instructions[pc]
+            execute = _EXECUTE.get(type(instr))
+            if execute is None:
+                raise ConfigError(f"unknown instruction {instr!r}")
+            try:
+                next_pc = execute(self, thread, instr)
+            except (PageFault, ProtectionFault) as exc:
+                thread.fault = Fault(
+                    kind=type(exc).__name__,
+                    vaddr=exc.vaddr,
+                    access=exc.access,
+                    pc=thread.pc,
+                )
+                count["faults"].value += 1
+                self.spans.instant("cpu.fault", track=self.name,
+                                   pid=thread.pid, pc=thread.pc,
+                                   fault=thread.fault.kind, vaddr=exc.vaddr)
+                return StepStatus.FAULTED
+            thread.pc = next_pc
+            thread.instructions_retired += 1
+            count["instructions"].value += 1
+            if thread.halted:
+                return StepStatus.HALTED
+        return None
 
     # -- per-instruction semantics ---------------------------------------------------
 
-    def _execute(self, thread: Thread, instr: Instruction) -> int:
-        """Run *instr* for *thread*; returns the next pc."""
-        execute = _EXECUTE.get(type(instr))
-        if execute is None:
-            raise ConfigError(f"unknown instruction {instr!r}")
-        return execute(self, thread, instr)
-
     def _op_mb(self, thread: Thread, instr: Mb) -> int:
-        self.advance_cycles(self.costs.mb_cycles)
+        self.sim.advance(self._mb_ps)
         self.write_buffer.flush(self._drain)
         self._count["mbs"].value += 1
         return thread.pc + 1
 
     def _op_mov(self, thread: Thread, instr: Mov) -> int:
-        thread.set_reg(instr.dst, self._value(thread, instr.src))
-        self.advance_cycles(self.costs.base_cycles)
+        src = instr.src
+        thread.set_reg(instr.dst, thread.reg(src) if isinstance(src, str)
+                       else src & WORD_MASK)
+        self.sim.advance(self._base_ps)
         return thread.pc + 1
 
     def _op_add(self, thread: Thread, instr: Add) -> int:
-        total = self._value(thread, instr.a) + self._value(thread, instr.b)
-        thread.set_reg(instr.dst, total)
-        self.advance_cycles(self.costs.base_cycles)
+        thread.set_reg(instr.dst,
+                       _value(thread, instr.a) + _value(thread, instr.b))
+        self.sim.advance(self._base_ps)
         return thread.pc + 1
 
     def _op_beq(self, thread: Thread, instr: Beq) -> int:
-        self.advance_cycles(self.costs.branch_cycles)
-        if self._value(thread, instr.a) == self._value(thread, instr.b):
+        self.sim.advance(self._branch_ps)
+        if _value(thread, instr.a) == _value(thread, instr.b):
             return thread.program.target(instr.target)
         return thread.pc + 1
 
     def _op_bne(self, thread: Thread, instr: Bne) -> int:
-        self.advance_cycles(self.costs.branch_cycles)
-        if self._value(thread, instr.a) != self._value(thread, instr.b):
+        self.sim.advance(self._branch_ps)
+        if _value(thread, instr.a) != _value(thread, instr.b):
             return thread.program.target(instr.target)
         return thread.pc + 1
 
     def _op_jump(self, thread: Thread, instr: Jump) -> int:
-        self.advance_cycles(self.costs.branch_cycles)
+        self.sim.advance(self._branch_ps)
         return thread.program.target(instr.target)
 
     def _op_halt(self, thread: Thread, instr: Halt) -> int:
         thread.halted = True
-        self.advance_cycles(self.costs.base_cycles)
+        self.sim.advance(self._base_ps)
         # The buffer keeps draining after the program ends; model it
         # as a final flush so no posted store is ever lost.
         self.write_buffer.flush(self._drain)
         return thread.pc + 1
 
     def _op_nop(self, thread: Thread, instr: Nop) -> int:
-        self.advance_cycles(self.costs.base_cycles)
+        self.sim.advance(self._base_ps)
         return thread.pc + 1
 
     # -- memory paths ------------------------------------------------------------------
 
     def _op_load(self, thread: Thread, instr: Load) -> int:
-        vaddr = self._effective(thread, instr.addr)
+        addr = instr.addr
+        vaddr = (addr.disp if addr.base is None
+                 else thread.reg(addr.base) + addr.disp) & WORD_MASK
         translation = self.mmu.translate(vaddr, "read",
                                          user_mode=not self._in_kernel)
-        self.sim.advance(translation.cost)
+        sim = self.sim
+        sim.advance(translation.cost)
         paddr = translation.paddr
-        if self.bus.is_device(paddr):
+        bus = self.bus
+        if bus.is_device(paddr):
             forwarded = self.write_buffer.forward(paddr)
             if forwarded is not None:
                 # Relaxed write buffer: the load is serviced from a
                 # pending same-address store and never reaches the device
                 # (footnote 6's failure mode).
-                self.advance_cycles(self.costs.base_cycles)
+                sim.advance(self._base_ps)
                 thread.set_reg(instr.dst, forwarded)
                 self._count["forwarded_loads"].value += 1
                 return thread.pc + 1
             if not self.write_buffer.relaxed:
                 # Strongly ordered interface: drain before the load.
                 self.write_buffer.flush(self._drain)
-            self.advance_cycles(self.costs.base_cycles
-                                 + self.costs.uncached_issue_cycles)
-            value, bus_cost = self.bus.read_word(paddr, self._access_ctx(thread))
-            self.sim.advance(bus_cost)
+            sim.advance(self._uncached_ps)
+            value, bus_cost = bus.read_word(paddr, AccessContext(
+                thread.pid, self._in_kernel, sim.now))
+            sim.advance(bus_cost)
             self._count["uncached_loads"].value += 1
         else:
-            self.advance_cycles(self.costs.mem_cycles)
-            value = self.bus.ram.read_word(paddr)
+            sim.advance(self._mem_ps)
+            value = bus.ram.read_word(paddr)
             self._count["loads"].value += 1
         thread.set_reg(instr.dst, value)
         return thread.pc + 1
 
     def _op_store(self, thread: Thread, instr: Store) -> int:
-        vaddr = self._effective(thread, instr.addr)
-        value = self._value(thread, instr.src) & WORD_MASK
+        addr = instr.addr
+        vaddr = (addr.disp if addr.base is None
+                 else thread.reg(addr.base) + addr.disp) & WORD_MASK
+        src = instr.src
+        value = (thread.reg(src) if isinstance(src, str)
+                 else src) & WORD_MASK
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
-        self.sim.advance(translation.cost)
         paddr = translation.paddr
+        # Nothing runs between the translation and the issue, so one
+        # advance charges both.
         if self.bus.is_device(paddr):
-            self.advance_cycles(self.costs.base_cycles
-                                 + self.costs.uncached_issue_cycles)
+            self.sim.advance(translation.cost + self._uncached_ps)
             # post() advances time inside the drain if it has to make
             # room; its returned bus cost is informational.
             self.write_buffer.post(paddr, value, self._drain)
             self._count["uncached_stores"].value += 1
         else:
-            self.advance_cycles(self.costs.mem_cycles)
+            self.sim.advance(translation.cost + self._mem_ps)
             self.bus.ram.write_word(paddr, value)
             self._count["stores"].value += 1
         return thread.pc + 1
 
     def _op_exchange(self, thread: Thread, instr: CompareExchange) -> int:
-        vaddr = self._effective(thread, instr.addr)
-        value = self._value(thread, instr.src) & WORD_MASK
+        vaddr = _effective(thread, instr.addr)
+        value = _value(thread, instr.src) & WORD_MASK
         # An atomic RMW needs both read and write rights.
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
@@ -405,8 +444,7 @@ class Cpu:
         self.sim.advance(translation.cost)
         paddr = translation.paddr
         self.write_buffer.flush(self._drain)
-        self.advance_cycles(self.costs.base_cycles
-                             + self.costs.uncached_issue_cycles)
+        self.sim.advance(self._uncached_ps)
         hit = self.bus.find_window(paddr)
         if hit is not None:
             device, offset = hit
@@ -416,7 +454,8 @@ class Cpu:
 
                 raise DeviceError(
                     f"device {device.name} does not support atomic exchange")
-            old = exchange(offset, value, self._access_ctx(thread))
+            old = exchange(offset, value, AccessContext(
+                thread.pid, self._in_kernel, self.sim.now))
             cost = self.bus.clock.cycles(
                 self.bus.timing.device_read_cycles
                 + self.bus.timing.device_write_cycles - 4)
@@ -424,7 +463,7 @@ class Cpu:
         else:
             old = self.bus.ram.read_word(paddr)
             self.bus.ram.write_word(paddr, value)
-            self.advance_cycles(self.costs.mem_cycles)
+            self.sim.advance(self._mem_ps)
         thread.set_reg(instr.dst, old)
         self._count["exchanges"].value += 1
         return thread.pc + 1
@@ -432,9 +471,10 @@ class Cpu:
     def _drain(self, paddr: int, value: int) -> Time:
         """The write buffer's drain target: one posted store reaches the
         bus on behalf of the current thread."""
-        cost = self.bus.write_word(paddr, value,
-                                   self._access_ctx(self._current_thread))
-        self.sim.advance(cost)
+        sim = self.sim
+        cost = self.bus.write_word(paddr, value, AccessContext(
+            self._current_thread.pid, self._in_kernel, sim.now))
+        sim.advance(cost)
         return cost
 
     def drain_write_buffer(self, thread: Thread) -> None:
@@ -456,7 +496,7 @@ class Cpu:
         if self._in_pal:
             raise ConfigError("nested PAL calls are not allowed")
         self._count["pal_calls"].value += 1
-        self.advance_cycles(self.costs.pal_entry_cycles)
+        self.sim.advance(self._pal_entry_ps)
         pal_program = self._pal_functions[name]
         self._in_pal = True
         saved_program, saved_pc = thread.program, thread.pc
@@ -465,9 +505,13 @@ class Cpu:
             # Execute the entire PAL body inside this one step():
             # uninterruptible by construction.
             guard = 4 * PAL_MAX_INSTRUCTIONS
-            while thread.pc < len(pal_program) and not thread.halted:
-                instr = pal_program.instructions[thread.pc]
-                thread.pc = self._execute(thread, instr)
+            body = pal_program.instructions
+            while thread.pc < len(body) and not thread.halted:
+                instr = body[thread.pc]
+                execute = _EXECUTE.get(type(instr))
+                if execute is None:
+                    raise ConfigError(f"unknown instruction {instr!r}")
+                thread.pc = execute(self, thread, instr)
                 guard -= 1
                 if guard <= 0:
                     raise ConfigError(
@@ -476,7 +520,7 @@ class Cpu:
             self._in_pal = False
             thread.program, thread.pc = saved_program, saved_pc
             thread.halted = False
-        self.advance_cycles(self.costs.pal_exit_cycles)
+        self.sim.advance(self._pal_exit_ps)
         return thread.pc + 1
 
     def _op_syscall(self, thread: Thread, instr: Syscall) -> int:
@@ -484,21 +528,17 @@ class Cpu:
         if name not in self._syscalls:
             raise ConfigError(f"no syscall {name!r} registered")
         self._count["syscalls"].value += 1
-        self.advance_cycles(self.costs.syscall_entry_cycles)
+        self.sim.advance(self._syscall_entry_ps)
         self._in_kernel = True
         try:
             result = self._syscalls[name](thread, self)
         finally:
             self._in_kernel = False
         thread.set_reg("v0", result & WORD_MASK)
-        self.advance_cycles(self.costs.syscall_exit_cycles)
+        self.sim.advance(self._syscall_exit_ps)
         return thread.pc + 1
 
     # -- helpers ---------------------------------------------------------------------------
-
-    def _access_ctx(self, thread: Thread) -> AccessContext:
-        return AccessContext(issuer=thread.pid, kernel=self._in_kernel,
-                             when=self.sim.now)
 
     def advance_cycles(self, cycles: float) -> None:
         """Spend *cycles* CPU cycles of simulated time."""
@@ -507,33 +547,16 @@ class Cpu:
             ps = self._cycle_ps[cycles] = self.clock.cycles(cycles)
         self.sim.advance(ps)
 
-    @staticmethod
-    def _value(thread: Thread, operand: Operand) -> int:
-        if isinstance(operand, str):
-            return thread.reg(operand)
-        return operand & WORD_MASK
 
-    @staticmethod
-    def _effective(thread: Thread, addr: Addr) -> int:
-        base = thread.reg(addr.base) if addr.base is not None else 0
-        return (base + addr.disp) & WORD_MASK
+def _value(thread: Thread, operand: Operand) -> int:
+    if isinstance(operand, str):
+        return thread.reg(operand)
+    return operand & WORD_MASK
 
 
-class _BoundCounters(Dict[str, Counter]):
-    """Counters of one registry by name, each bound on first use.
-
-    A counter joins the registry when first counted, exactly as
-    ``StatRegistry.counter`` would have created it, so snapshots list
-    the same counters in the same order; later counts are one dict hit.
-    """
-
-    def __init__(self, stats: StatRegistry) -> None:
-        super().__init__()
-        self._stats = stats
-
-    def __missing__(self, name: str) -> Counter:
-        counter = self[name] = self._stats.counter(name)
-        return counter
+def _effective(thread: Thread, addr: Addr) -> int:
+    base = thread.reg(addr.base) if addr.base is not None else 0
+    return (base + addr.disp) & WORD_MASK
 
 
 #: One handler per instruction type, so :meth:`Cpu._execute` dispatches

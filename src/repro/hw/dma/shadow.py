@@ -85,18 +85,17 @@ class ShadowLayout:
                 f"{self.n_contexts} contexts")
         if self.shadow_offset < (self.n_contexts + 2) * PAGE_SIZE:
             raise ConfigError("shadow region overlaps register pages")
+        # The privileged pages' offsets, fixed here: the engine and the
+        # kernel read them on every privileged access.  Plain attributes,
+        # not fields, so repr, equality and hashing see only the fields.
+        #: Window offset of the kernel-only key-table page.
+        object.__setattr__(self, "key_page_offset",
+                           self.n_contexts * PAGE_SIZE)
+        #: Window offset of the kernel-only control page.
+        object.__setattr__(self, "control_page_offset",
+                           (self.n_contexts + 1) * PAGE_SIZE)
 
     # -- derived geometry -----------------------------------------------------
-
-    @property
-    def key_page_offset(self) -> int:
-        """Window offset of the kernel-only key-table page."""
-        return self.n_contexts * PAGE_SIZE
-
-    @property
-    def control_page_offset(self) -> int:
-        """Window offset of the kernel-only control page."""
-        return (self.n_contexts + 1) * PAGE_SIZE
 
     @property
     def shadow_region_size(self) -> int:

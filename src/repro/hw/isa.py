@@ -21,7 +21,6 @@ resolved by :func:`assemble`.  Register names follow Alpha conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigError
@@ -227,8 +226,13 @@ def assemble(source: Sequence[Instruction], name: str = "") -> Program:
 
 
 def _validate(program: Program) -> None:
+    shapes = _SHAPES
     for index, instr in enumerate(program.instructions):
-        operands, has_addr, has_target = _shape(type(instr))
+        cls = type(instr)
+        shape = shapes.get(cls)
+        if shape is None:
+            shape = shapes[cls] = _shape(cls)
+        operands, has_addr, has_target = shape
         for attr in operands:
             reg = getattr(instr, attr)
             if isinstance(reg, str) and reg not in _REGISTER_SET:
@@ -247,11 +251,15 @@ def _validate(program: Program) -> None:
                     f"{program.name!r}[{index}]: dangling label {target!r}")
 
 
-@lru_cache(maxsize=None)
+#: :func:`_shape` of each instruction class seen so far (a dict probe
+#: per instruction, for the initiation programs built on every request).
+_SHAPES: Dict[type, Tuple[Tuple[str, ...], bool, bool]] = {}
+
+
 def _shape(cls: type) -> Tuple[Tuple[str, ...], bool, bool]:
-    """The fields :func:`_validate` reads, found once per instruction
-    class: the operands that may name a register, whether it has an
-    ``addr``, whether it has a branch ``target``."""
+    """The fields :func:`_validate` reads for an instruction class: the
+    operands that may name a register, whether it has an ``addr``,
+    whether it has a branch ``target``."""
     fields = getattr(cls, "__dataclass_fields__", {})
     return (tuple(a for a in ("dst", "src", "a", "b") if a in fields),
             "addr" in fields, "target" in fields)

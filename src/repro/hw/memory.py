@@ -106,14 +106,18 @@ class PhysicalMemory:
 
     def read(self, paddr: int, nbytes: int) -> bytes:
         """Read *nbytes* starting at *paddr*."""
-        self._check_range(paddr, nbytes, "read")
+        if nbytes < 0 or paddr < 0 or paddr + nbytes > self.size:
+            self._check_range(paddr, nbytes, "read")
         return bytes(self._data[paddr:paddr + nbytes])
 
     def write(self, paddr: int, data: bytes) -> None:
         """Write *data* starting at *paddr*."""
-        self._check_range(paddr, len(data), "write")
-        self._journal_range(paddr, len(data))
-        self._data[paddr:paddr + len(data)] = data
+        end = paddr + len(data)
+        if paddr < 0 or end > self.size:
+            self._check_range(paddr, len(data), "write")
+        if self._undo is not None:
+            self._journal_range(paddr, len(data))
+        self._data[paddr:end] = data
 
     def fill(self, paddr: int, nbytes: int, value: int = 0) -> None:
         """Fill a range with a repeated byte value."""
@@ -180,7 +184,9 @@ class PhysicalMemory:
         """Read a naturally aligned 64-bit little-endian word."""
         if paddr % WORD_BYTES:
             raise AddressError(f"unaligned word read at {paddr:#x}")
-        return int.from_bytes(self.read(paddr, WORD_BYTES), "little")
+        if paddr < 0 or paddr + WORD_BYTES > self.size:
+            self._check_range(paddr, WORD_BYTES, "read")
+        return int.from_bytes(self._data[paddr:paddr + WORD_BYTES], "little")
 
     def write_word(self, paddr: int, value: int) -> None:
         """Write a naturally aligned 64-bit little-endian word."""

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 from ..errors import PageFault, ProtectionFault
 from ..units import Time
-from .pagetable import PAGE_MASK, PageTable, Pte
+from .pagetable import PAGE_MASK, PAGE_SHIFT, PageTable, Pte
 from .tlb import Tlb
 
 
@@ -79,26 +79,30 @@ class Mmu:
             PageFault / ProtectionFault: from the page table (or from the
                 cached PTE's permission bits).
         """
-        if self._table is None:
+        table = self._table
+        if table is None:
             raise RuntimeError("MMU has no active page table")
-        pte = self.tlb.lookup(vaddr)
+        vpn = vaddr >> PAGE_SHIFT
+        tlb = self.tlb
+        cached = tlb._entries
+        pte = cached.get(vpn)
         if pte is not None:
-            self._check(pte, vaddr, access, user_mode)
-            return Translation(pte.pframe | (vaddr & PAGE_MASK), pte,
-                               self.hit_cost, True)
-        # Miss: walk the active table (raises on fault), then cache.
-        paddr = self._table.translate(vaddr, access, user_mode)
-        pte = self._table.lookup(vaddr)
-        assert pte is not None  # translate() would have raised otherwise
-        self.tlb.insert(vaddr, pte)
-        return Translation(paddr, pte, self.hit_cost + self.walk_cost,
-                           False)
-
-    @staticmethod
-    def _check(pte: Pte, vaddr: int, access: str, user_mode: bool) -> None:
-        """Re-run protection checks against a TLB-cached PTE."""
+            tlb.hits += 1
+            cached.move_to_end(vpn)
+            cost, hit = self.hit_cost, True
+        else:
+            # Miss: one walk of the active table; only a translation
+            # that passes its checks is cached.
+            tlb.misses += 1
+            pte = table._entries.get(vpn)
+            if pte is None:
+                raise PageFault(vaddr, access)
+            cost, hit = self.hit_cost + self.walk_cost, False
         if user_mode:
             if not pte.user:
                 raise PageFault(vaddr, access)
             if not pte.allows(access):
                 raise ProtectionFault(vaddr, access)
+        if not hit:
+            tlb.insert(vaddr, pte)
+        return Translation(pte.pframe | (vaddr & PAGE_MASK), pte, cost, hit)

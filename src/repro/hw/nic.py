@@ -52,25 +52,30 @@ class GlobalAddressMap:
         """Per-node address-space size in bytes."""
         return 1 << self.local_bits
 
+    # encode and decode run on every engine start and kernel DMA, so they
+    # test the field widths directly rather than through the properties.
+
     def encode(self, node: int, local: int) -> int:
         """Build the global address of (*node*, *local*)."""
-        if not 0 <= node < self.max_nodes:
+        if node < 0 or node >> self.node_bits:
             raise AddressError(f"node {node} out of range")
-        if not 0 <= local < self.local_size:
+        bits = self.local_bits
+        if local < 0 or local >> bits:
             raise AddressError(
-                f"local address {local:#x} overflows {self.local_bits} bits")
-        return (node << self.local_bits) | local
+                f"local address {local:#x} overflows {bits} bits")
+        return (node << bits) | local
 
     def decode(self, global_addr: int) -> "tuple[int, int]":
         """Split a global address into (node, local)."""
         if global_addr < 0:
             raise AddressError(f"negative global address {global_addr:#x}")
-        node = global_addr >> self.local_bits
-        if node >= self.max_nodes:
+        bits = self.local_bits
+        node = global_addr >> bits
+        if node >> self.node_bits:
             raise AddressError(
                 f"global address {global_addr:#x} names node {node} "
                 f">= {self.max_nodes}")
-        return node, global_addr & (self.local_size - 1)
+        return node, global_addr & ((1 << bits) - 1)
 
 
 class Fabric(Protocol):

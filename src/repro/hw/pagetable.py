@@ -167,7 +167,7 @@ class PageTable:
 
     def lookup(self, vaddr: int) -> Optional[Pte]:
         """Return the PTE for *vaddr*'s page, or None if unmapped."""
-        return self._entries.get(vpn_of(vaddr))
+        return self._entries.get(vaddr >> PAGE_SHIFT)
 
     def translate(self, vaddr: int, access: str,
                   user_mode: bool = True) -> int:
@@ -187,7 +187,7 @@ class PageTable:
             PageFault: if the page is unmapped (or kernel-only in user mode).
             ProtectionFault: if the permission bits deny the access.
         """
-        pte = self.lookup(vaddr)
+        pte = self._entries.get(vaddr >> PAGE_SHIFT)
         if pte is None:
             raise PageFault(vaddr, access)
         if user_mode:
@@ -195,7 +195,7 @@ class PageTable:
                 raise PageFault(vaddr, access)
             if not pte.allows(access):
                 raise ProtectionFault(vaddr, access)
-        return pte.pframe | page_offset(vaddr)
+        return pte.pframe | (vaddr & PAGE_MASK)
 
     def check_range(self, vaddr: int, nbytes: int, access: str) -> None:
         """Verify an entire byte range is mapped with *access* permission.
@@ -204,10 +204,20 @@ class PageTable:
         kernel-level DMA the OS validates every page in the transfer.
 
         Raises:
-            PageFault / ProtectionFault: on the first offending page.
+            AddressError: if *nbytes* is not positive.
+            PageFault / ProtectionFault: on the first offending page, as
+                a user-mode :meth:`translate` of the page's base raises.
         """
-        for vpn in pages_covering(vaddr, nbytes):
-            self.translate(vpn << PAGE_SHIFT, access, user_mode=True)
+        if nbytes <= 0:
+            raise AddressError(f"range length must be positive, got {nbytes}")
+        entries = self._entries
+        for vpn in range(vaddr >> PAGE_SHIFT,
+                         ((vaddr + nbytes - 1) >> PAGE_SHIFT) + 1):
+            pte = entries.get(vpn)
+            if pte is None or not pte.user:
+                raise PageFault(vpn << PAGE_SHIFT, access)
+            if not pte.allows(access):
+                raise ProtectionFault(vpn << PAGE_SHIFT, access)
 
     def mapped_pages(self) -> Iterator[Tuple[int, Pte]]:
         """Yield (vpn, pte) pairs for every mapping, in VPN order."""

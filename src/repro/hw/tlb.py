@@ -32,6 +32,9 @@ class Tlb:
         self.hits = 0
         self.misses = 0
         self.flushes = 0
+        #: vpn -> PTE, least recently used first.  :meth:`Mmu.translate`
+        #: probes it directly, keeping the counters and LRU order as
+        #: :meth:`lookup` and :meth:`insert` do.
         self._entries: "OrderedDict[int, Pte]" = OrderedDict()
 
     def lookup(self, vaddr: int) -> Optional[Pte]:

@@ -119,7 +119,7 @@ class WriteBuffer:
                 self.stores_collapsed += 1
                 return 0
         cost: Time = 0
-        if self.full:
+        if len(self._entries) >= self.capacity:
             cost = self._drain_one(drain)
         self._entries.append(_PendingStore(paddr, value))
         return cost

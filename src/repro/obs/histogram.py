@@ -96,12 +96,18 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def record(self, value_us: float,
-               trace_id: Optional[str] = None) -> None:
-        """Fold one latency sample in, optionally tagged with its trace."""
+               trace_id: Optional[str] = None,
+               bucket: Optional[int] = None) -> None:
+        """Fold one latency sample in, optionally tagged with its trace.
+
+        *bucket*, when given, is the sample's :meth:`bucket_index` as a
+        histogram of the same geometry computed it, for a caller that
+        records one sample into several histograms.
+        """
         if value_us < 0.0:
             raise ObservabilityError(
                 f"latency must be non-negative, got {value_us}")
-        index = self.bucket_index(value_us)
+        index = self.bucket_index(value_us) if bucket is None else bucket
         self._counts[index] = self._counts.get(index, 0) + 1
         self.count += 1
         self.total_us += value_us

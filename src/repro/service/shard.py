@@ -21,7 +21,7 @@ soak leaves a tamper mark the sweep finds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..core.api import DmaChannel, open_channel
 from ..core.machine import MachineConfig, Workstation
@@ -120,6 +120,17 @@ class _Tenant:
     hot_vaddr: Optional[int] = None
     atomic_via_kernel: bool = False
     message_channel: object = None
+
+
+class _Outcome(NamedTuple):
+    """What serving a request came to, before the shard stamps it into
+    the request's one :class:`Completion`."""
+
+    ok: bool
+    outcome: str
+    attempts: int
+    fell_back: bool = False
+    bytes_moved: int = 0
 
 
 def shard_seed(service_seed: int, index: int) -> int:
@@ -255,12 +266,12 @@ class ServiceShard:
     def execute(self, request: Request) -> Completion:
         """Run one request to completion on this shard (serial).
 
-        The request's trace context (if any) is activated on the
-        shard's span tracer for the whole execution, so every span the
-        data path records — initiation, retries, backoff, kernel
-        fallback, fault injections — carries the request's trace id and
-        hangs off one ``shard.execute`` root with a cross-process link
-        back to the front end.
+        With spans enabled, the request's trace context (if any) is
+        activated on the shard's span tracer for the whole execution, so
+        every span the data path records — initiation, retries, backoff,
+        kernel fallback, fault injections — carries the request's trace
+        id and hangs off one ``shard.execute`` root with a cross-process
+        link back to the front end.  With spans off, none of that runs.
 
         A new tenant the shard has no room for is refused: the request
         completes ``rejected`` with reason ``shard-full`` and nothing
@@ -270,45 +281,53 @@ class ServiceShard:
         if tenant is None:
             return Completion(request, ok=False, outcome=OUTCOME_REJECTED,
                               shard=self.index, reason=REASON_SHARD_FULL)
-        start = self.ws.sim.now
-        spans = self.ws.spans
-        with spans.activate(request.trace, process=self.process):
-            root = spans.begin("shard.execute", track=self.process,
-                               kind=request.kind, req_id=request.req_id)
-            if request.kind == KIND_DMA:
-                completion = self._execute_dma(request, tenant)
-            elif request.kind == KIND_ATOMIC:
-                completion = self._execute_atomic(request, tenant)
-            elif request.kind == KIND_MESSAGE:
-                completion = self._execute_message(request, tenant)
-            else:  # pragma: no cover - Request.__post_init__ rejects these
-                raise KernelError(f"unknown kind {request.kind!r}")
-            self.ws.drain()
-            # Quiescent and verified: the machine keeps its counts, not
-            # the request's initiation, transfer and atomic records.
-            self.ws.drop_records()
-            spans.end(root, outcome=completion.outcome,
-                      attempts=completion.attempts)
+        ws = self.ws
+        start = ws.sim.now
+        spans = ws.spans
+        if spans.enabled:
+            with spans.activate(request.trace, process=self.process):
+                root = spans.begin("shard.execute", track=self.process,
+                                   kind=request.kind, req_id=request.req_id)
+                outcome = self._serve(request, tenant)
+                spans.end(root, outcome=outcome.outcome,
+                          attempts=outcome.attempts)
+        else:
+            outcome = self._serve(request, tenant)
         self.requests_executed += 1
-        self.bytes_moved += completion.bytes_moved
-        if self.ws.metrics.enabled:
-            self.ws.metrics.poll()
-        latency = to_us(self.ws.sim.now - start)
-        final = Completion(
-            request=request, ok=completion.ok, outcome=completion.outcome,
-            latency_us=latency, attempts=completion.attempts,
-            fell_back=completion.fell_back, shard=self.index,
-            bytes_moved=completion.bytes_moved)
-        self.flightrec.note(final)
-        if final.outcome == OUTCOME_WRONG_DATA:
+        self.bytes_moved += outcome.bytes_moved
+        if ws.metrics.enabled:
+            ws.metrics.poll()
+        completion = Completion(
+            request=request, ok=outcome.ok, outcome=outcome.outcome,
+            latency_us=to_us(ws.sim.now - start), attempts=outcome.attempts,
+            fell_back=outcome.fell_back, shard=self.index,
+            bytes_moved=outcome.bytes_moved)
+        self.flightrec.note(completion)
+        if completion.outcome == OUTCOME_WRONG_DATA:
             self.flightrec.bundle(
-                REASON_WRONG_DATA, ws=self.ws, seed=self.config.seed,
-                tick=request.tick, offending=[final.to_dict()],
+                REASON_WRONG_DATA, ws=ws, seed=self.config.seed,
+                tick=request.tick, offending=[completion.to_dict()],
                 fault_plan=self.fault_plan_dict(),
                 counters=self.counters(),
                 detail=f"request {request.req_id} landed wrong bytes "
                        f"inside its authorized region")
-        return final
+        return completion
+
+    def _serve(self, request: Request, tenant: _Tenant) -> _Outcome:
+        """Run *request*'s operation and let the machine go quiescent."""
+        if request.kind == KIND_DMA:
+            outcome = self._execute_dma(request, tenant)
+        elif request.kind == KIND_ATOMIC:
+            outcome = self._execute_atomic(request, tenant)
+        elif request.kind == KIND_MESSAGE:
+            outcome = self._execute_message(request, tenant)
+        else:  # pragma: no cover - Request.__post_init__ rejects these
+            raise KernelError(f"unknown kind {request.kind!r}")
+        self.ws.drain()
+        # Quiescent and verified: the machine keeps its counts, not the
+        # request's initiation, transfer and atomic records.
+        self.ws.drop_records()
+        return outcome
 
     def fault_plan_dict(self) -> Optional[Dict[str, object]]:
         """The active fault plan's JSON rendering, if one is attached."""
@@ -316,7 +335,7 @@ class ServiceShard:
             return None
         return self._injector.plan.to_dict()
 
-    def _execute_dma(self, request: Request, tenant: _Tenant) -> Completion:
+    def _execute_dma(self, request: Request, tenant: _Tenant) -> _Outcome:
         size = min(request.size, MAX_TRANSFER_BYTES)
         if request.hot:
             if tenant.hot_vaddr is None:
@@ -344,9 +363,8 @@ class ServiceShard:
         self.ws.drain()
         if not result.ok:
             self.ws.ram.write(region_paddr, baseline)
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=result.attempts,
-                              fell_back=result.fell_back)
+            return _Outcome(False, OUTCOME_ABORTED, result.attempts,
+                            result.fell_back)
         # Verify the FULL authorized region, not just the requested
         # bytes: a bit-flipped size or offset word can land the wrong
         # bytes inside the region while the completion still reports
@@ -358,21 +376,18 @@ class ServiceShard:
         self.ws.ram.write(region_paddr, baseline)
         if landed != expected:
             self.wrong_data += 1
-            return Completion(request, ok=False,
-                              outcome=OUTCOME_WRONG_DATA,
-                              attempts=result.attempts,
-                              fell_back=result.fell_back)
+            return _Outcome(False, OUTCOME_WRONG_DATA, result.attempts,
+                            result.fell_back)
         outcome = OUTCOME_COMPLETED
         if result.fell_back:
             outcome = OUTCOME_FELL_BACK
         elif result.attempts > 1:
             outcome = OUTCOME_RETRIED
-        return Completion(request, ok=True, outcome=outcome,
-                          attempts=result.attempts,
-                          fell_back=result.fell_back, bytes_moved=size)
+        return _Outcome(True, outcome, result.attempts, result.fell_back,
+                        size)
 
     def _execute_atomic(self, request: Request,
-                        tenant: _Tenant) -> Completion:
+                        tenant: _Tenant) -> _Outcome:
         if not self.config.atomics:
             # No atomic unit on this shard: serve it as a small DMA so
             # mixed workloads still make progress.
@@ -387,28 +402,23 @@ class ServiceShard:
         # touched a different offset of the (authorized) page.
         self.ws.ram.write(tenant.dst_paddr, tenant.canary)
         if not result.ok:
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=1)
-        return Completion(request, ok=True, outcome=OUTCOME_COMPLETED,
-                          attempts=1, bytes_moved=8)
+            return _Outcome(False, OUTCOME_ABORTED, 1)
+        return _Outcome(True, OUTCOME_COMPLETED, 1, bytes_moved=8)
 
     def _execute_message(self, request: Request,
-                         tenant: _Tenant) -> Completion:
+                         tenant: _Tenant) -> _Outcome:
         channel = self._message_channel(tenant)
         if channel is None:
             return self._execute_dma(request, tenant)
         payload_len = min(request.size, channel.sender.layout.max_payload)
         payload = tenant.pattern[:payload_len]
         if not channel.send(payload):
-            return Completion(request, ok=False, outcome=OUTCOME_ABORTED,
-                              attempts=1)
+            return _Outcome(False, OUTCOME_ABORTED, 1)
         received = channel.recv()
         if received != payload:
             self.wrong_data += 1
-            return Completion(request, ok=False,
-                              outcome=OUTCOME_WRONG_DATA, attempts=1)
-        return Completion(request, ok=True, outcome=OUTCOME_COMPLETED,
-                          attempts=1, bytes_moved=payload_len)
+            return _Outcome(False, OUTCOME_WRONG_DATA, 1)
+        return _Outcome(True, OUTCOME_COMPLETED, 1, bytes_moved=payload_len)
 
     def _message_channel(self, tenant: _Tenant):
         """The tenant's ring channel to the shard receiver (lazy, capped).

@@ -24,6 +24,7 @@ the "≥95 % of fault-free" CI gate reads ``vs_faultfree``.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -166,7 +167,10 @@ def build_schedule(config: SoakConfig) -> List[List[ScheduleEntry]]:
     bursts are appended on their cadence, aimed at a rotating shard.
     """
     rng = random.Random(config.seed)
-    weights = tenant_weights(config)
+    # Accumulated once: ``choices`` would re-accumulate every tick, and
+    # draws the same tenants from the running totals.
+    cum_weights = list(itertools.accumulate(tenant_weights(config)))
+    sizes = tuple(config.size_choices)
     names = [f"t{i:04d}" for i in range(config.tenants)]
     ticks = config.duration_s * config.tick_hz
     per_tick = config.tenants * config.rate / config.tick_hz
@@ -177,7 +181,7 @@ def build_schedule(config: SoakConfig) -> List[List[ScheduleEntry]]:
         n = int(carry)
         carry -= n
         entries: List[ScheduleEntry] = []
-        for tenant in rng.choices(names, weights=weights, k=n):
+        for tenant in rng.choices(names, cum_weights=cum_weights, k=n):
             draw = rng.random()
             if draw < config.atomic_frac:
                 kind = KIND_ATOMIC
@@ -185,7 +189,7 @@ def build_schedule(config: SoakConfig) -> List[List[ScheduleEntry]]:
                 kind = KIND_MESSAGE
             else:
                 kind = KIND_DMA
-            size = rng.choice(list(config.size_choices))
+            size = rng.choice(sizes)
             hot = (kind == KIND_DMA
                    and rng.random() < config.hot_frac)
             entries.append((tenant, kind, size, hot, None))

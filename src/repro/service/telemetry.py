@@ -117,8 +117,11 @@ class FleetTelemetry:
             return
         trace = completion.request.trace
         trace_id = trace.trace_id if trace is not None else None
-        self._window_hist.record(completion.latency_us, trace_id)
-        self._run_hist.record(completion.latency_us, trace_id)
+        latency = completion.latency_us
+        # Both histograms share one geometry: find the bucket once.
+        bucket = self._run_hist.bucket_index(latency)
+        self._window_hist.record(latency, trace_id, bucket)
+        self._run_hist.record(latency, trace_id, bucket)
         if completion.ok:
             self._completed += 1
             self._bytes += completion.bytes_moved

@@ -10,7 +10,7 @@ the one exact-quantile function over a list of samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from ..units import Time, to_us
 
@@ -157,3 +157,22 @@ def merge_snapshots(snapshots: Iterable[Dict[str, float]]) -> Dict[str, float]:
     for snap in snapshots:
         merged.update(snap)
     return merged
+
+
+class BoundStats(Dict[str, Any]):
+    """One registry's counters (or latency stats) by name, each bound on
+    first use.
+
+    *get* is the registry's ``counter`` or ``latency``.  A stat joins the
+    registry when first used, exactly as *get* would have created it, so
+    snapshots list the same stats in the same order; every later use is
+    one dict hit instead of a method call.
+    """
+
+    def __init__(self, get: Callable[[str], Any]) -> None:
+        super().__init__()
+        self._get = get
+
+    def __missing__(self, name: str) -> Any:
+        stat = self[name] = self._get(name)
+        return stat

@@ -49,6 +49,7 @@ from .adversary import (
     revoked_capability_scenario,
     stale_iotlb_scenario,
 )
+from . import incremental
 from .incremental import check_scenario_incremental
 from .model_check import CheckResult, Scenario
 
@@ -271,24 +272,34 @@ def verify_method_under_faults(
         max_interleavings: per-variant order cap (safety net).
         checker: the check function (incremental by default; the naive
             :func:`~repro.verify.model_check.check_scenario` gives
-            identical results).
+            identical results).  It is called with ``harness=`` for the
+            race and its variants, as both accept.
         progress: optional callback ``(variant_name, done, total)``.
     """
     baselines = method_fault_scenarios(method)
+    race = baselines[0]
+    # One harness checks the race and every variant of it (a variant
+    # differs from the race only in its streams, name and truthfulness
+    # flag); the method's other baseline builds its own.  It is built
+    # the way the incremental checker builds one (``incremental``'s
+    # name for it, so a wrapper there sees every build).
+    harness = incremental.make_harness(race)
     baseline_results = [
         checker(b, max_examples=max_examples,
-                max_interleavings=max_interleavings) for b in baselines]
+                max_interleavings=max_interleavings,
+                **({"harness": harness} if b is race else {}))
+        for b in baselines]
     baseline_safe = all(r.safe for r in baseline_results)
     report = MethodFaultReport(method=method, baseline_safe=baseline_safe,
                                baseline_results=baseline_results)
     report.interleavings_checked = sum(
         r.total_interleavings for r in baseline_results)
-    race = baselines[0]
     specs = enumerate_single_faults(race)
     for done, spec in enumerate(specs, start=1):
         variant = apply_fault(race, spec)
         result = checker(variant, max_examples=max_examples,
-                         max_interleavings=max_interleavings)
+                         max_interleavings=max_interleavings,
+                         harness=harness)
         report.variants_checked += 1
         report.interleavings_checked += result.total_interleavings
         if baseline_safe and result.attack_found:

@@ -163,7 +163,9 @@ REJECTION_WORDS = frozenset({STATUS_FAILURE, STATUS_PENDING})
 def check_scenario(scenario: Scenario, max_examples: int = 5,
                    max_interleavings: Optional[int] = None,
                    progress: Optional[Callable[[int], None]] = None,
-                   progress_every: int = 1000) -> CheckResult:
+                   progress_every: int = 1000,
+                   harness: Optional[ProtocolHarness] = None,
+                   ) -> CheckResult:
     """Exhaustively check every interleaving of the scenario's streams.
 
     This is the naive oracle: every order replays from a cold engine.
@@ -181,6 +183,10 @@ def check_scenario(scenario: Scenario, max_examples: int = 5,
             interleavings checked so far every *progress_every* orders
             (long Fig. 8 runs take minutes on the naive path).
         progress_every: callback period in interleavings.
+        harness: optional harness to replay on instead of building one,
+            from :func:`make_harness` for a scenario with the same
+            method, keys, setup, ``n_contexts`` and ``page_bounded``
+            (every replay resets it to that built state).
 
     Raises:
         VerificationError: if the interleaving count exceeds the cap.
@@ -192,7 +198,8 @@ def check_scenario(scenario: Scenario, max_examples: int = 5,
         raise VerificationError(
             f"scenario {scenario.name}: {expected} interleavings exceeds "
             f"cap {max_interleavings}")
-    harness = make_harness(scenario)
+    if harness is None:
+        harness = make_harness(scenario)
     result = CheckResult(scenario=scenario.name)
     for interleaving in iter_interleavings_shared(scenario.streams):
         result.total_interleavings += 1

@@ -40,6 +40,7 @@ from ..faulted import (
     enumerate_single_faults,
     method_fault_scenarios,
 )
+from .. import incremental
 from ..incremental import check_scenario_incremental
 from ..model_check import CheckResult, Scenario
 
@@ -179,7 +180,9 @@ def verify_method_under_k_faults(
             k >= 3; setting it below the space size turns the campaign
             into a seeded sample.
         seed: sampling seed (only used when sampling).
-        checker: the check function (incremental by default).
+        checker: the check function (incremental by default).  It is
+            called with ``harness=`` for the race and its variants, as
+            both built-in checkers accept.
         progress: optional callback ``(combo_label, done, total)``.
         profiler: optional phase profiler (``baseline`` / ``variant``).
     """
@@ -187,17 +190,22 @@ def verify_method_under_k_faults(
         raise VerificationError("k must be >= 1")
     started = time.monotonic()
     baselines = method_fault_scenarios(method)
+    race = baselines[0]
+    # One harness for the race and its variants, as in the single-fault
+    # campaign (repro.verify.faulted.verify_method_under_faults).
+    harness = incremental.make_harness(race)
     baseline_results = []
     for baseline in baselines:
+        own = {"harness": harness} if baseline is race else {}
         if profiler is not None:
             with profiler.phase("baseline"):
                 baseline_results.append(checker(
                     baseline, max_examples=max_examples,
-                    max_interleavings=max_interleavings))
+                    max_interleavings=max_interleavings, **own))
         else:
             baseline_results.append(checker(
                 baseline, max_examples=max_examples,
-                max_interleavings=max_interleavings))
+                max_interleavings=max_interleavings, **own))
     baseline_safe = all(r.safe for r in baseline_results)
     report = KFaultReport(method=method, k=k,
                           baseline_safe=baseline_safe,
@@ -205,7 +213,6 @@ def verify_method_under_k_faults(
     report.interleavings_checked = sum(
         r.total_interleavings for r in baseline_results)
 
-    race = baselines[0]
     singles = enumerate_single_faults(race)
     total = _combination_count(len(singles), k)
     report.combos_total = total
@@ -232,10 +239,12 @@ def verify_method_under_k_faults(
             if profiler is not None:
                 with profiler.phase("variant"):
                     result = checker(variant, max_examples=max_examples,
-                                     max_interleavings=max_interleavings)
+                                     max_interleavings=max_interleavings,
+                                     harness=harness)
             else:
                 result = checker(variant, max_examples=max_examples,
-                                 max_interleavings=max_interleavings)
+                                 max_interleavings=max_interleavings,
+                                 harness=harness)
             report.combos_checked += 1
             report.interleavings_checked += result.total_interleavings
             if baseline_safe and result.attack_found:

@@ -126,6 +126,27 @@ def test_find_window_and_is_device():
     assert bus.find_window(0) is None
 
 
+@pytest.mark.parametrize("paddr, owner, offset", [
+    (WINDOW - 1, None, None),                  # one byte below the first
+    (WINDOW, "echo", 0),                       # first byte
+    (WINDOW + kib(32) - 1, "echo", kib(32) - 1),  # last byte
+    (WINDOW + kib(32), "next", 0),             # one past: the next window
+    (WINDOW + kib(40) - 1, "next", kib(8) - 1),
+    (WINDOW + kib(40), None, None),            # one past the last window
+    (kib(64) - 1, None, None),                 # RAM's last byte
+])
+def test_window_edges(paddr, owner, offset):
+    bus, _ = make_bus()
+    bus.attach(Echo("next"), WINDOW + kib(32), kib(8))
+    found = bus.find_window(paddr)
+    if owner is None:
+        assert found is None
+        assert not bus.is_device(paddr)
+    else:
+        assert (found[0].name, found[1]) == (owner, offset)
+        assert bus.is_device(paddr)
+
+
 def test_dma_stream_cost_scales_with_words():
     bus, _ = make_bus()
     assert bus.dma_stream_cost(64) == bus.clock.cycles(8)

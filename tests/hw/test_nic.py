@@ -30,8 +30,29 @@ class FakeFabric:
 class TestGlobalAddressMap:
     def test_roundtrip(self):
         amap = GlobalAddressMap()
-        for node, local in [(0, 0), (3, 0x1234), (63, (1 << 28) - 8)]:
+        for node, local in [(0, 0), (3, 0x1234), (63, (1 << 28) - 8),
+                            (0, (1 << 28) - 1), (63, (1 << 28) - 1),
+                            (1, 0), (63, 0)]:
             assert amap.decode(amap.encode(node, local)) == (node, local)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: m.encode(64, 0), "node 64 out of range"),
+        (lambda m: m.encode(-1, 0), "node -1 out of range"),
+        (lambda m: m.encode(0, 1 << 28),
+         "local address 0x10000000 overflows 28 bits"),
+        (lambda m: m.encode(0, -1), "local address -0x1 overflows 28 bits"),
+        (lambda m: m.decode(1 << 34),
+         "global address 0x400000000 names node 64 >= 64"),
+        (lambda m: m.decode(-1), "negative global address -0x1"),
+    ])
+    def test_errors_at_the_field_edges(self, call, message):
+        with pytest.raises(AddressError) as info:
+            call(GlobalAddressMap())
+        assert str(info.value) == message
+
+    def test_last_global_address_decodes(self):
+        amap = GlobalAddressMap()
+        assert amap.decode((1 << 34) - 1) == (63, (1 << 28) - 1)
 
     def test_node_zero_is_identity(self):
         amap = GlobalAddressMap()

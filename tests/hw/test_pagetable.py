@@ -130,6 +130,45 @@ def test_check_range_whole_span():
         table.check_range(V + PAGE_SIZE, 2 * PAGE_SIZE, "read")
 
 
+def _first_page_fault(table, vaddr, nbytes, access):
+    """What translating each page's base in turn raises first."""
+    for vpn in pages_covering(vaddr, nbytes):
+        try:
+            table.translate(vpn * PAGE_SIZE, access)
+        except (PageFault, ProtectionFault) as exc:
+            return type(exc), exc.vaddr, exc.access
+    return None
+
+
+@pytest.mark.parametrize("access", ["read", "write"])
+@pytest.mark.parametrize("vaddr, nbytes", [
+    (V - 1, 1), (V - 1, 2), (V, 1), (V, PAGE_SIZE), (V, PAGE_SIZE + 1),
+    (V + PAGE_SIZE - 1, 1), (V + PAGE_SIZE - 1, 2),
+    (V + PAGE_SIZE, PAGE_SIZE), (V + 2 * PAGE_SIZE - 1, 2),
+    (V, 3 * PAGE_SIZE), (V + 3 * PAGE_SIZE - 1, 1),
+])
+def test_check_range_faults_as_translating_each_page(vaddr, nbytes, access):
+    """Pages: RW, read-only, kernel-only, then unmapped."""
+    table = PageTable()
+    table.map_page(V, Pte(P, Perm.RW))
+    table.map_page(V + PAGE_SIZE, Pte(P + PAGE_SIZE, Perm.READ))
+    table.map_page(V + 2 * PAGE_SIZE, Pte(P + 2 * PAGE_SIZE, Perm.RW,
+                                          user=False))
+    expected = _first_page_fault(table, vaddr, nbytes, access)
+    if expected is None:
+        table.check_range(vaddr, nbytes, access)
+        return
+    with pytest.raises((PageFault, ProtectionFault)) as info:
+        table.check_range(vaddr, nbytes, access)
+    assert (type(info.value), info.value.vaddr,
+            info.value.access) == expected
+
+
+def test_check_range_rejects_empty_range():
+    with pytest.raises(AddressError):
+        table_with().check_range(V, 0, "read")
+
+
 def test_check_range_perm_enforced_every_page():
     table = PageTable()
     table.map_page(V, Pte(P, Perm.RW))
