@@ -146,13 +146,13 @@ class Injector:
         orig_write = _original(bus, "write_word")
 
         def read_word(paddr: int, ctx: AccessContext) -> Tuple[int, Time]:
-            if bus.find_window(paddr) is None:
+            if not bus.is_device(paddr):
                 return orig_read(paddr, ctx)
             self._flush_held_store()
             return self._faulted_read(bus, orig_read, paddr, ctx)
 
         def write_word(paddr: int, value: int, ctx: AccessContext) -> Time:
-            if bus.find_window(paddr) is None:
+            if not bus.is_device(paddr):
                 return orig_write(paddr, value, ctx)
             return self._faulted_write(bus, orig_write, paddr, value, ctx)
 
@@ -203,11 +203,11 @@ class Injector:
     def _faulted_write(self, bus: Bus, orig_write: Callable[..., Time],
                        paddr: int, value: int, ctx: AccessContext) -> Time:
         rule = self.plan.decide("store", issuer=ctx.issuer, kernel=ctx.kernel)
-        cost = bus.clock.cycles(bus.timing.device_write_cycles)
         if rule is None:
             cost = orig_write(paddr, value, ctx)
             self._flush_held_store()
             return cost
+        cost = bus.device_write_ps
         self._count("store", rule.kind, paddr=paddr, issuer=ctx.issuer)
         if rule.kind == DROP:
             # The write transaction happens on the bus (full cost) but
@@ -248,8 +248,7 @@ class Injector:
         if rule.kind == DROP:
             # A lost read transaction times out on the bus and the CPU
             # reads all-ones — exactly STATUS_FAILURE (§3.1).
-            return STATUS_FAILURE, bus.clock.cycles(
-                bus.timing.device_read_cycles)
+            return STATUS_FAILURE, bus.device_read_ps
         if rule.kind == BITFLIP:
             value, cost = orig_read(paddr, ctx)
             return value ^ (1 << self.plan.pick_bit(rule)), cost

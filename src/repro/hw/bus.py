@@ -105,8 +105,10 @@ class Bus:
         #: access scans it, so the bounds are plain ints.
         self._windows: Tuple[Tuple[int, int, MmioDevice], ...] = ()
         # Per-access costs, converted once.
-        self._device_read_ps = self.clock.cycles(timing.device_read_cycles)
-        self._device_write_ps = self.clock.cycles(timing.device_write_cycles)
+        #: Bus time of one device word read, in ps.
+        self.device_read_ps = self.clock.cycles(timing.device_read_cycles)
+        #: Bus time of one device word write, in ps.
+        self.device_write_ps = self.clock.cycles(timing.device_write_cycles)
         self._ram_word_ps = self.clock.cycles(timing.ram_word_cycles)
         # The device access counters, bound when first counted so the
         # registry lists its counters in the order they were first used.
@@ -173,7 +175,7 @@ class Bus:
                         "device_reads")
                 counter.value += 1
                 return (device.mmio_read(paddr - base, ctx),
-                        self._device_read_ps)
+                        self.device_read_ps)
         if self.ram.contains(paddr, 8):
             self.stats.counter("ram_reads").add()
             return self.ram.read_word(paddr), self._ram_word_ps
@@ -194,7 +196,7 @@ class Bus:
                         "device_writes")
                 counter.value += 1
                 device.mmio_write(paddr - base, value, ctx)
-                return self._device_write_ps
+                return self.device_write_ps
         if self.ram.contains(paddr, 8):
             self.stats.counter("ram_writes").add()
             self.ram.write_word(paddr, value)

@@ -174,8 +174,10 @@ class DmaEngine(MmioDevice):
         where it is mutated (once per epoch, see :meth:`capture_context`),
         and the rare mutations (table writes, initiation-record appends)
         record individually — so ``journal.undo_to(mark)`` restores the
-        engine at cost proportional to what actually changed.  Cascades
-        to the transfer engine.
+        engine at cost proportional to what actually changed.  The
+        checker's harness captures the scalar blob itself when it opens
+        a tree edge and stamps :attr:`_j_epoch`, so the first access
+        does not capture it again.  Cascades to the transfer engine.
         """
         self._undo = journal
         self._j_epoch = 0
@@ -186,11 +188,13 @@ class DmaEngine(MmioDevice):
         self._ctx_fps = [None] * len(self.contexts)
         self.transfer_engine.bind_journal(journal)
 
-    def _j_access(self) -> None:
-        """Once per journal epoch, capture the per-access hot state."""
-        journal = self._undo
-        if journal is None or self._j_epoch == journal.epoch:
-            return
+    def _j_access(self, journal: UndoJournal) -> None:
+        """Capture the per-access hot state for this journal epoch.
+
+        Callers test ``self._j_epoch != journal.epoch`` first, so an
+        unjournaled engine, or one already captured this epoch, makes no
+        call.  With spans on, the tracer's state is captured too.
+        """
         self._j_epoch = journal.epoch
         journal.record_call(self._restore_scalar_state, self._scalar_state())
         span_state = self.spans.snapshot()
@@ -199,7 +203,8 @@ class DmaEngine(MmioDevice):
 
     def _scalar_state(self) -> tuple:
         """The protocol FSM blob and the scalar engine state, captured
-        together (one journal entry) once per journal epoch.
+        together (one journal entry) once per journal epoch, by the
+        engine or by the checker's harness at each tree edge.
 
         Subclasses with extra scalar state extend the tuple (and override
         :meth:`_restore_scalar_state` to match).
@@ -219,18 +224,18 @@ class DmaEngine(MmioDevice):
     def capture_context(self, context: RegisterContext) -> None:
         """Record *context* for undo before the caller mutates it.
 
-        Every register-context mutation goes through here first: the
-        context-page accesses, :meth:`try_start`, the keyed and capio
-        argument stores, and the kernel's context management.  The
-        capture happens once per journal epoch; the context's cached
-        fingerprint drops on every call.
+        Called only with a journal bound, before every register-context
+        mutation: the context-page accesses, :meth:`try_start`, the
+        keyed and capio argument stores, and the kernel's context
+        management.  The capture happens once per journal epoch; the
+        context's cached fingerprint drops on every call.  (An
+        unjournaled engine keeps no contexts' fingerprint cache, so its
+        mutation sites skip this call.)
         """
         ctx_id = context.ctx_id
         self._ctx_fps[ctx_id] = None
         self._ctx_fp = None
         journal = self._undo
-        if journal is None:
-            return
         epochs = self._ctx_epochs
         if epochs[ctx_id] != journal.epoch:
             epochs[ctx_id] = journal.epoch
@@ -271,38 +276,52 @@ class DmaEngine(MmioDevice):
     # ------------------------------------------------------------------
 
     def mmio_write(self, offset: int, value: int, ctx: AccessContext) -> None:
-        shadow = self.layout.decode_offset(offset)
-        if shadow is not None:
-            self.shadow_store(shadow.ctx_id, shadow.paddr, value, ctx)
+        issuer, kernel, when = ctx
+        layout = self.layout
+        # The shadow decode (ShadowLayout.decode_offset) and the context
+        # page test, in place: they run on every engine access.
+        rel = offset - layout.shadow_offset
+        if 0 <= rel < layout.shadow_region_size:
+            self.shadow_store(rel >> layout.ctx_shift,
+                              rel & layout.argument_mask, value,
+                              issuer, kernel, when)
             return
-        ctx_index = self.layout.context_of_offset(offset)
-        if ctx_index is not None:
-            self.context_store(ctx_index, offset & PAGE_MASK, value, ctx)
-            return
-        self._j_access()
         page = offset >> PAGE_SHIFT
+        if 0 <= page < layout.n_contexts:
+            self.context_store(page, offset & PAGE_MASK, value,
+                               issuer, kernel, when)
+            return
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
         reg = offset & PAGE_MASK
-        if page == self.layout.key_page_offset >> PAGE_SHIFT:
+        if page == layout.key_page_offset >> PAGE_SHIFT:
             self._key_write(reg, value, ctx)
             return
-        if page == self.layout.control_page_offset >> PAGE_SHIFT:
+        if page == layout.control_page_offset >> PAGE_SHIFT:
             self._control_write(reg, value, ctx)
             return
         raise DeviceError(f"{self.name}: write to unmapped offset {offset:#x}")
 
     def mmio_read(self, offset: int, ctx: AccessContext) -> int:
-        shadow = self.layout.decode_offset(offset)
-        if shadow is not None:
-            return self.shadow_load(shadow.ctx_id, shadow.paddr, ctx)
-        ctx_index = self.layout.context_of_offset(offset)
-        if ctx_index is not None:
-            return self.context_load(ctx_index, offset & PAGE_MASK, ctx)
-        self._j_access()
+        issuer, kernel, when = ctx
+        layout = self.layout
+        rel = offset - layout.shadow_offset
+        if 0 <= rel < layout.shadow_region_size:
+            return self.shadow_load(rel >> layout.ctx_shift,
+                                    rel & layout.argument_mask,
+                                    issuer, kernel, when)
         page = offset >> PAGE_SHIFT
+        if 0 <= page < layout.n_contexts:
+            return self.context_load(page, offset & PAGE_MASK,
+                                     issuer, kernel, when)
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
         reg = offset & PAGE_MASK
-        if page == self.layout.key_page_offset >> PAGE_SHIFT:
+        if page == layout.key_page_offset >> PAGE_SHIFT:
             return self._key_read(reg, ctx)
-        if page == self.layout.control_page_offset >> PAGE_SHIFT:
+        if page == layout.control_page_offset >> PAGE_SHIFT:
             return self._control_read(reg, ctx)
         raise DeviceError(f"{self.name}: read of unmapped offset {offset:#x}")
 
@@ -314,36 +333,45 @@ class DmaEngine(MmioDevice):
             raise DeviceError(
                 f"{self.name}: atomic exchange outside shadow region "
                 f"at offset {offset:#x}")
-        return self.shadow_exchange(shadow.ctx_id, shadow.paddr, value, ctx)
+        issuer, kernel, when = ctx
+        return self.shadow_exchange(shadow.ctx_id, shadow.paddr, value,
+                                    issuer, kernel, when)
 
     # ------------------------------------------------------------------
     # Decoded entry points (the MMIO decoder's targets; the checker's
-    # harness calls them straight from its access specs)
+    # harness calls them straight from its access specs).  Each takes
+    # the access's issuer, kernel flag and bus-delivery time as plain
+    # arguments, so no AccessContext is built to carry them.
     # ------------------------------------------------------------------
 
     def shadow_store(self, ctx_id: int, paddr: int, value: int,
-                     ctx: AccessContext) -> None:
+                     issuer: Optional[int], kernel: bool,
+                     when: Time) -> None:
         """A store to ``shadow(paddr)`` carrying CONTEXT_ID *ctx_id*."""
-        self._j_access()
-        access = ShadowAccess("store", ctx_id, paddr, value, ctx.issuer,
-                              ctx.kernel, ctx.when)
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
+        access = ShadowAccess("store", ctx_id, paddr, value, issuer,
+                              kernel, when)
         if self.spans.enabled:
-            sp = self._access_span("dma.shadow_store", ctx, ctx_id=ctx_id,
-                                   paddr=paddr, data=value)
+            sp = self._access_span("dma.shadow_store", issuer,
+                                   ctx_id=ctx_id, paddr=paddr, data=value)
             self.protocol.on_shadow_store(access)
             self.spans.end(sp, state_to=self.protocol.state_label())
         else:
             self.protocol.on_shadow_store(access)
 
-    def shadow_load(self, ctx_id: int, paddr: int,
-                    ctx: AccessContext) -> int:
+    def shadow_load(self, ctx_id: int, paddr: int, issuer: Optional[int],
+                    kernel: bool, when: Time) -> int:
         """A load from ``shadow(paddr)``; returns the status word."""
-        self._j_access()
-        access = ShadowAccess("load", ctx_id, paddr, 0, ctx.issuer,
-                              ctx.kernel, ctx.when)
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
+        access = ShadowAccess("load", ctx_id, paddr, 0, issuer, kernel,
+                              when)
         if self.spans.enabled:
-            sp = self._access_span("dma.shadow_load", ctx, ctx_id=ctx_id,
-                                   paddr=paddr)
+            sp = self._access_span("dma.shadow_load", issuer,
+                                   ctx_id=ctx_id, paddr=paddr)
             status = self.protocol.on_shadow_load(access)
             self.spans.end(sp, state_to=self.protocol.state_label(),
                            status=status)
@@ -351,13 +379,16 @@ class DmaEngine(MmioDevice):
         return self.protocol.on_shadow_load(access)
 
     def shadow_exchange(self, ctx_id: int, paddr: int, value: int,
-                        ctx: AccessContext) -> int:
+                        issuer: Optional[int], kernel: bool,
+                        when: Time) -> int:
         """An atomic exchange on ``shadow(paddr)``; returns the status."""
-        self._j_access()
-        access = ShadowAccess("exchange", ctx_id, paddr, value, ctx.issuer,
-                              ctx.kernel, ctx.when)
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
+        access = ShadowAccess("exchange", ctx_id, paddr, value, issuer,
+                              kernel, when)
         if self.spans.enabled:
-            sp = self._access_span("dma.shadow_exchange", ctx,
+            sp = self._access_span("dma.shadow_exchange", issuer,
                                    ctx_id=ctx_id, paddr=paddr, data=value)
             status = self.protocol.on_shadow_exchange(access)
             self.spans.end(sp, state_to=self.protocol.state_label(),
@@ -366,31 +397,37 @@ class DmaEngine(MmioDevice):
         return self.protocol.on_shadow_exchange(access)
 
     def context_store(self, ctx_index: int, reg: int, value: int,
-                      ctx: AccessContext) -> None:
+                      issuer: Optional[int], kernel: bool,
+                      when: Time) -> None:
         """A store to register *reg* of context page *ctx_index*."""
-        self._j_access()
-        access = ShadowAccess("store", ctx_index, 0, value, ctx.issuer,
-                              ctx.kernel, ctx.when)
         context = self.contexts[ctx_index]
-        self.capture_context(context)
+        journal = self._undo
+        if journal is not None:
+            if self._j_epoch != journal.epoch:
+                self._j_access(journal)
+            self.capture_context(context)
+        access = ShadowAccess("store", ctx_index, 0, value, issuer, kernel,
+                              when)
         if self.spans.enabled:
-            sp = self._access_span("dma.context_store", ctx,
+            sp = self._access_span("dma.context_store", issuer,
                                    ctx_id=ctx_index, data=value)
             self.protocol.on_context_store(context, reg, value, access)
             self.spans.end(sp, state_to=self.protocol.state_label())
         else:
             self.protocol.on_context_store(context, reg, value, access)
 
-    def context_load(self, ctx_index: int, reg: int,
-                     ctx: AccessContext) -> int:
+    def context_load(self, ctx_index: int, reg: int, issuer: Optional[int],
+                     kernel: bool, when: Time) -> int:
         """A load from register *reg* of context page *ctx_index*."""
-        self._j_access()
-        access = ShadowAccess("load", ctx_index, 0, 0, ctx.issuer,
-                              ctx.kernel, ctx.when)
         context = self.contexts[ctx_index]
-        self.capture_context(context)
+        journal = self._undo
+        if journal is not None:
+            if self._j_epoch != journal.epoch:
+                self._j_access(journal)
+            self.capture_context(context)
+        access = ShadowAccess("load", ctx_index, 0, 0, issuer, kernel, when)
         if self.spans.enabled:
-            sp = self._access_span("dma.context_load", ctx,
+            sp = self._access_span("dma.context_load", issuer,
                                    ctx_id=ctx_index)
             status = self.protocol.on_context_load(context, reg, access)
             self.spans.end(sp, state_to=self.protocol.state_label(),
@@ -398,16 +435,15 @@ class DmaEngine(MmioDevice):
             return status
         return self.protocol.on_context_load(context, reg, access)
 
-    def _access_span(self, name: str, ctx: AccessContext,
+    def _access_span(self, name: str, issuer: Optional[int],
                      **attrs) -> Span:
-        """Open a recognizer span for one MMIO access.
+        """Open a recognizer span for one MMIO access by *issuer*.
 
         The recognizer state *before* the protocol callback is recorded
         at begin time; callers add ``state_to`` when ending the span, so
         every span shows the FSM transition the access caused.
         """
-        track = (f"proc{ctx.issuer}" if ctx.issuer is not None
-                 else self.name)
+        track = f"proc{issuer}" if issuer is not None else self.name
         return self.spans.begin(
             name, track=track, protocol=self.protocol.name,
             state_from=self.protocol.state_label(), **attrs)
@@ -425,6 +461,9 @@ class DmaEngine(MmioDevice):
         Returns the status word software sees: bytes remaining (== size at
         start time) on success, ``STATUS_FAILURE`` otherwise.
         """
+        journal = self._undo
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_access(journal)
         via_name = via if via is not None else self.protocol.name
         ok = (size > 0
               and self._valid_source(psrc, size)
@@ -434,9 +473,8 @@ class DmaEngine(MmioDevice):
                     or page_base(pdst) != page_base(pdst + size - 1)):
                 self.oversize_rejections += 1
                 ok = False
-        if self._undo is not None:
-            self._j_access()
-            self._undo.record_append(self.initiations)
+        if journal is not None:
+            journal.record_append(self.initiations)
         if len(self._init_fp) > len(self.initiations):
             # An undo truncated the records below the cached prefix; the
             # new record replaces a cached slot, so cut the cache first.
@@ -444,7 +482,7 @@ class DmaEngine(MmioDevice):
         self.initiations.append(InitiationRecord(
             self.sim.now, psrc, pdst, size, issuer, via_name,
             ctx.ctx_id if ctx is not None else None, ok))
-        if ctx is not None:
+        if ctx is not None and journal is not None:
             self.capture_context(ctx)
         if not ok:
             if ctx is not None:
@@ -592,7 +630,8 @@ class DmaEngine(MmioDevice):
         """Record OS assignment of a context to a process, resetting it."""
         self._check_ctx_id(ctx_id)
         context = self.contexts[ctx_id]
-        self.capture_context(context)
+        if self._undo is not None:
+            self.capture_context(context)
         context.reset()
         context.owner_pid = pid
         return context
@@ -601,7 +640,8 @@ class DmaEngine(MmioDevice):
         """OS released a context: scrub state, key, and ownership."""
         self._check_ctx_id(ctx_id)
         context = self.contexts[ctx_id]
-        self.capture_context(context)
+        if self._undo is not None:
+            self.capture_context(context)
         context.reset()
         context.owner_pid = None
         self._j_table(self.key_table, ctx_id)
@@ -648,10 +688,15 @@ class DmaEngine(MmioDevice):
             else:
                 cached = cached + tuple(self.initiations[len(cached):])
             self._init_fp = cached
-        contexts = self._ctx_fp
-        if (contexts is None
-                or self._ctx_fp_flips != self.transfer_engine.flips):
-            contexts = self._ctx_fp = self._contexts_fingerprint()
+        if self._undo is None:
+            # The contexts' cache is kept only under a journal: an
+            # unjournaled engine mutates contexts without capturing them.
+            contexts = tuple(c.fingerprint() for c in self.contexts)
+        else:
+            contexts = self._ctx_fp
+            if (contexts is None
+                    or self._ctx_fp_flips != self.transfer_engine.flips):
+                contexts = self._ctx_fp = self._contexts_fingerprint()
         return (
             contexts,
             tables[0],
@@ -688,7 +733,8 @@ class DmaEngine(MmioDevice):
     def reset(self) -> None:
         """Power-on reset: contexts, tables, protocol state, records."""
         for context in self.contexts:
-            self.capture_context(context)
+            if self._undo is not None:
+                self.capture_context(context)
             context.reset()
             context.owner_pid = None
         self.key_table.clear()

@@ -195,8 +195,10 @@ class CapioProtocol(InitiationProtocol):
         if self._validate(ref, size=1, write=(arg == ARG_DESTINATION)) is None:
             self.cap_rejections += 1
             return
-        context = self.engine.contexts[entry.owner_ctx]
-        self.engine.capture_context(context)
+        engine = self.engine
+        context = engine.contexts[entry.owner_ctx]
+        if engine._undo is not None:
+            engine.capture_context(context)
         phys = entry.base + ref.offset
         refs = dict(self._arg_refs.get(entry.owner_ctx, ()))
         if arg == ARG_SOURCE:

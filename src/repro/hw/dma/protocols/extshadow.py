@@ -77,10 +77,11 @@ class ExtendedShadowProtocol(InitiationProtocol):
                 # started and an error code is returned".
                 self.ctx_mismatches += 1
                 return STATUS_FAILURE
+        engine = self.engine
         ctx = None
-        if access.ctx_id < self.engine.layout.n_contexts:
-            ctx = self.engine.contexts[access.ctx_id]
-        return self.engine.try_start(
+        if access.ctx_id < engine.layout.n_contexts:
+            ctx = engine.contexts[access.ctx_id]
+        return engine.try_start(
             psrc=access.paddr, pdst=latch.pdst, size=latch.size,
             ctx=ctx, issuer=access.issuer)
 

@@ -94,11 +94,12 @@ class IommuProtocol(InitiationProtocol):
             # attempt ever reaches the mover or the record log.
             self.translation_faults += 1
             return STATUS_FAILURE
+        engine = self.engine
         ctx = None
-        if access.ctx_id < self.engine.layout.n_contexts:
-            ctx = self.engine.contexts[access.ctx_id]
-        return self.engine.try_start(psrc=psrc, pdst=pdst, size=latch.size,
-                                     ctx=ctx, issuer=access.issuer)
+        if access.ctx_id < engine.layout.n_contexts:
+            ctx = engine.contexts[access.ctx_id]
+        return engine.try_start(psrc=psrc, pdst=pdst, size=latch.size,
+                                ctx=ctx, issuer=access.issuer)
 
     # -- kernel-managed setup ----------------------------------------------
 

@@ -81,18 +81,20 @@ class KeyedProtocol(InitiationProtocol):
 
     def on_shadow_store(self, access: ShadowAccess) -> None:
         key, ctx_id, arg = unpack_key_word(access.data)
-        contexts = self.engine.contexts
+        engine = self.engine
+        contexts = engine.contexts
         if ctx_id >= len(contexts):
             self.key_rejections += 1
             return
-        expected = self.engine.key_table.get(ctx_id, 0)
+        expected = engine.key_table.get(ctx_id, 0)
         if expected == 0 or key != expected:
             # Wrong or missing key: the argument is silently dropped; the
             # attacker learns nothing (stores have no return path).
             self.key_rejections += 1
             return
         context = contexts[ctx_id]
-        self.engine.capture_context(context)
+        if engine._undo is not None:
+            engine.capture_context(context)
         if arg == ARG_SOURCE:
             context.src = access.paddr
         else:

@@ -85,22 +85,24 @@ class ShadowLayout:
                 f"{self.n_contexts} contexts")
         if self.shadow_offset < (self.n_contexts + 2) * PAGE_SIZE:
             raise ConfigError("shadow region overlaps register pages")
-        # The privileged pages' offsets, fixed here: the engine and the
-        # kernel read them on every privileged access.  Plain attributes,
-        # not fields, so repr, equality and hashing see only the fields.
+        # The privileged pages' offsets and the shadow decode's bounds,
+        # fixed here: the engine and the kernel read them on every
+        # access.  Plain attributes, not fields, so repr, equality and
+        # hashing see only the fields.
         #: Window offset of the kernel-only key-table page.
         object.__setattr__(self, "key_page_offset",
                            self.n_contexts * PAGE_SIZE)
         #: Window offset of the kernel-only control page.
         object.__setattr__(self, "control_page_offset",
                            (self.n_contexts + 1) * PAGE_SIZE)
+        #: Bytes of shadow space (all contexts).
+        object.__setattr__(self, "shadow_region_size",
+                           1 << (self.ctx_bits + self.ctx_shift))
+        #: Mask of the argument field of a shadow offset.
+        object.__setattr__(self, "argument_mask",
+                           (1 << self.ctx_shift) - 1)
 
     # -- derived geometry -----------------------------------------------------
-
-    @property
-    def shadow_region_size(self) -> int:
-        """Bytes of shadow space (all contexts)."""
-        return 1 << (self.ctx_bits + self.ctx_shift)
 
     @property
     def window_size(self) -> int:
@@ -148,12 +150,9 @@ class ShadowLayout:
         Returns None for offsets in the register/privileged region.
         """
         rel = offset - self.shadow_offset
-        shift = self.ctx_shift
-        # rel >= shadow_region_size, without the property call: this
-        # decode runs on every engine access.
-        if rel < 0 or rel >> (self.ctx_bits + shift):
+        if not 0 <= rel < self.shadow_region_size:
             return None
-        return ShadowRef(rel >> shift, rel & ((1 << shift) - 1))
+        return ShadowRef(rel >> self.ctx_shift, rel & self.argument_mask)
 
     def decode_paddr(self, shadow_addr: int) -> Optional[ShadowRef]:
         """Decode an absolute physical address as a shadow reference."""

@@ -133,8 +133,9 @@ class DmaTransferEngine:
         # dropped machine or checker harness alive until the cyclic
         # collector ran.  One reference serves every transfer.
         self._self_ref = weakref.ref(self)
-        #: Completion event label per transfer size, built once each.
-        self._labels: Dict[int, str] = {}
+        #: ``(duration_of(size), completion event label)`` per transfer
+        #: size, each built once.
+        self._per_size: Dict[int, Tuple[Time, str]] = {}
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal."""
@@ -142,13 +143,12 @@ class DmaTransferEngine:
         self._j_epoch = 0
         self._fp_hist = ()
 
-    def _j_scalars(self) -> None:
-        """Once per journal epoch, capture the counter blob."""
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_epoch = journal.epoch
-            journal.record_call(self._restore_scalars, (
-                self.transfers_started, self.bytes_moved, self.last_via))
+    def _j_scalars(self, journal: UndoJournal) -> None:
+        """Capture the counter blob for this journal epoch (callers test
+        the epoch first)."""
+        self._j_epoch = journal.epoch
+        journal.record_call(self._restore_scalars, (
+            self.transfers_started, self.bytes_moved, self.last_via))
 
     def _restore_scalars(self, blob: tuple) -> None:
         self.transfers_started, self.bytes_moved, self.last_via = blob
@@ -183,12 +183,16 @@ class DmaTransferEngine:
         """
         if size <= 0:
             raise ConfigError(f"transfer size must be positive, got {size}")
-        transfer = Transfer(
-            psrc=psrc, pdst=pdst, size=size,
-            started_at=self.sim.now, duration=self.duration_of(size))
+        per_size = self._per_size.get(size)
+        if per_size is None:
+            per_size = self._per_size[size] = (
+                self.duration_of(size), f"dma-complete[{size}B]")
+        duration, label = per_size
+        transfer = Transfer(psrc, pdst, size, self.sim.now, duration)
         journal = self._undo
         if journal is not None:
-            self._j_scalars()
+            if self._j_epoch != journal.epoch:
+                self._j_scalars(journal)
             journal.record_append(self.history)
         self.transfers_started += 1
         if len(self._fp_hist) > len(self.history):
@@ -225,9 +229,11 @@ class DmaTransferEngine:
             engine = engine_ref()
             if engine is None:
                 return
-            if engine._undo is not None:
-                engine._j_scalars()
-                engine._undo.record_call(engine._uncomplete, transfer)
+            journal = engine._undo
+            if journal is not None:
+                if engine._j_epoch != journal.epoch:
+                    engine._j_scalars(journal)
+                journal.record_call(engine._uncomplete, transfer)
             engine._mover(psrc, pdst, size)
             transfer.completed = True
             engine.bytes_moved += size
@@ -242,9 +248,6 @@ class DmaTransferEngine:
 
         if fault is not None and fault[0] == "delay":
             transfer.duration += fault[1]
-        label = self._labels.get(size)
-        if label is None:
-            label = self._labels[size] = f"dma-complete[{size}B]"
         self.sim.schedule(transfer.duration, complete, label=label)
         if fault is not None and fault[0] == "duplicate":
             # A second, spurious completion event re-runs the mover (an

@@ -209,14 +209,7 @@ class DmaService:
         try:
             if job.queued is not None:
                 self.spans.end(job.queued)
-            done = shard.execute(job.request)
-            completion = Completion(
-                request=done.request, ok=done.ok, outcome=done.outcome,
-                latency_us=done.latency_us, attempts=done.attempts,
-                fell_back=done.fell_back, shard=done.shard,
-                bytes_moved=done.bytes_moved, finished_tick=self.tick,
-                reason=done.reason)
-            self._complete(job, completion)
+            self._complete(job, shard.execute(job.request))
         except Exception as exc:  # pragma: no cover - defensive
             if not job.future.done():
                 job.future.set_exception(exc)
@@ -301,8 +294,7 @@ class DmaService:
         if not admitted:
             completion = Completion(
                 request=request, ok=False, outcome=OUTCOME_REJECTED,
-                shard=shard_index, finished_tick=self.tick,
-                reason=reason)
+                shard=shard_index, reason=reason)
             self._complete(job, completion)
             return future
         await self._queues[shard_index].put(job)

@@ -153,7 +153,6 @@ class Completion:
         fell_back: degraded to the kernel syscall path.
         shard: shard index that executed (or would have executed) it.
         bytes_moved: payload bytes landed (0 unless ``ok``).
-        finished_tick: service tick at completion.
         reason: rejection reason for ``outcome == "rejected"``.
     """
 
@@ -165,7 +164,6 @@ class Completion:
     fell_back: bool = False
     shard: int = -1
     bytes_moved: int = 0
-    finished_tick: int = 0
     reason: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:

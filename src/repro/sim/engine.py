@@ -79,18 +79,21 @@ class Simulator:
         ``journal.undo_to(mark)`` returns the clock and the queue to
         their state at ``mark = journal.mark()`` at O(changes) cost: the
         clock and counters are captured once per journal epoch, and each
-        push and each pop records one entry.
+        push and each pop records one entry.  The checker's harness
+        captures the clock and counters itself when it opens a tree
+        edge and stamps :attr:`_j_epoch`, so they are not captured
+        twice (see :meth:`~repro.verify.interleave.ProtocolHarness.
+        snapshot`).
         """
         self._journal = journal
         self._j_epoch = 0
 
-    def _j_state(self) -> None:
-        """Once per journal epoch, capture the scalar clock/counter blob."""
-        journal = self._journal
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_epoch = journal.epoch
-            journal.record_call(self._restore_scalars, (
-                self.now, self._seq, self._events_fired))
+    def _j_state(self, journal: UndoJournal) -> None:
+        """Capture the scalar clock/counter blob for this journal epoch
+        (callers test the epoch first)."""
+        self._j_epoch = journal.epoch
+        journal.record_call(self._restore_scalars, (
+            self.now, self._seq, self._events_fired))
 
     def _restore_scalars(self, blob: Tuple[Any, ...]) -> None:
         self.now, self._seq, self._events_fired = blob
@@ -134,7 +137,8 @@ class Simulator:
         self._seq += 1
         journal = self._journal
         if journal is not None:
-            self._j_state()
+            if self._j_epoch != journal.epoch:
+                self._j_state(journal)
             journal.record_call(self._j_unpush, entry)
         heappush(self._queue, entry)
         self._sig = None
@@ -160,8 +164,9 @@ class Simulator:
         queue = self._queue
         while queue and queue[0][0] <= target:
             self.step()
-        if self._journal is not None:
-            self._j_state()
+        journal = self._journal
+        if journal is not None and self._j_epoch != journal.epoch:
+            self._j_state(journal)
         self.now = target
         return target
 
@@ -179,7 +184,8 @@ class Simulator:
         entry = heappop(queue)
         journal = self._journal
         if journal is not None:
-            self._j_state()
+            if self._j_epoch != journal.epoch:
+                self._j_state(journal)
             journal.record_call(self._j_unpop, entry)
         self._sig = None
         self.now = entry[0]
@@ -204,8 +210,9 @@ class Simulator:
             self.step()
             fired += 1
         if until is not None:
-            if self._journal is not None:
-                self._j_state()
+            journal = self._journal
+            if journal is not None and self._j_epoch != journal.epoch:
+                self._j_state(journal)
             self.now = max(self.now, until)
         return fired
 
@@ -231,8 +238,9 @@ class Simulator:
         queue = self._queue
         while queue:
             if deadline is not None and queue[0][0] > deadline:
-                if self._journal is not None:
-                    self._j_state()
+                journal = self._journal
+                if journal is not None and self._j_epoch != journal.epoch:
+                    self._j_state(journal)
                 self.now = deadline
                 return predicate()
             self.step()

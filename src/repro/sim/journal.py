@@ -17,7 +17,10 @@ Two recording disciplines coexist, chosen per mutation site:
 * **Per-epoch capture** for small hot state blobs (a protocol FSM's
   scalar tuple, a register context, the simulator clock): the first
   mutation after each :meth:`mark`/:meth:`undo_to` captures the whole
-  blob once, and later mutations inside the same epoch are free.  The
+  blob once, and later mutations inside the same epoch are free.  Each
+  capture site tests ``journal is not None and epoch != journal.epoch``
+  inline before calling the capture, so a component with no journal,
+  or one already captured this epoch, calls no journal code.  The
   blob holds references, not copies: the protocol state it captures
   (tuples, and dicts that every write replaces) is never mutated in
   place, so neither the capture nor the undo copies it.  The
@@ -30,9 +33,18 @@ Two recording disciplines coexist, chosen per mutation site:
   argument stores, the kernel's context assignment, release and reset),
   never every context on every access.
 
+A caller that opens epochs often may capture the hottest blobs itself
+at the mark (:meth:`mark_with`) and stamp the components' epochs, so one
+entry covers them all: the checker's harness opens every tree edge with
+the simulator clock and the DMA engine's scalar blob in one entry
+(:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`).  An epoch
+opened any other way (a bare :meth:`mark`, an :meth:`undo_to`) finds the
+components unstamped, so they capture for themselves again.
+
 Each entry is an ``(undo, arg)`` pair and replay calls ``undo(arg)`` —
 one uniform step, no per-entry dispatch.  Correctness relies only on
-replay happening newest-first, which makes redundant captures harmless.
+replay happening newest-first, which makes redundant captures harmless:
+the oldest capture since a mark is replayed last and wins.
 
 Components opt in through ``bind_journal(journal)`` and must keep
 working when no journal is bound (``None`` — the default everywhere
@@ -71,6 +83,20 @@ class UndoJournal:
         """O(1) snapshot: remember the journal length, open a new epoch."""
         self.epoch += 1
         return len(self._ops)
+
+    def mark_with(self, undo: Callable[[Any], Any], arg: Any) -> int:
+        """:meth:`mark`, with ``undo(arg)`` as the new epoch's first entry.
+
+        For a caller that captures the hot state of several components
+        itself when it opens an epoch, in one entry; it then stamps
+        their epochs, so their own per-epoch captures stay silent.
+        """
+        self.epoch += 1
+        ops = self._ops
+        mark = len(ops)
+        self.entries_recorded += 1
+        ops.append((undo, arg))
+        return mark
 
     def undo_to(self, mark: int) -> None:
         """Replay (and drop) every entry recorded since *mark*."""

@@ -25,7 +25,8 @@ differential tests assert on every built-in scenario.
 
 Backtracking goes through the shared undo journal
 (:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`): snapshot
-is an O(1) mark and restore replays only the mutations made since it.
+is an O(1) mark whose one entry holds the clock and the engine's
+scalars, and restore replays only the mutations made since it.
 Two further strategies keep small and degenerate inputs fast
 (see docs/verification.md "Small-scenario cutover"): scenarios under
 :data:`SMALL_SCENARIO_CUTOVER` orders skip the DFS for a journaled
@@ -156,6 +157,13 @@ class _Subtree:
             Tuple[Tuple[AccessSpec, ...], List[Violation]]] = []
 
 
+#: The summary of every leaf without a violation, shared: a parent reads
+#: a child's summary and merges it into its own, and nothing writes to a
+#: summary once it is returned, except a forced tail splicing its
+#: accesses onto a violating leaf's examples.
+_SAFE_LEAF = _Subtree(leaves=1)
+
+
 def check_scenario_incremental(
         scenario: Scenario,
         max_examples: int = 5,
@@ -231,11 +239,11 @@ def check_scenario_incremental(
 
     if harness is None:
         harness = make_harness(scenario)
-    # The first snapshot binds the harness's undo journal; from then on a
-    # snapshot is the journal's O(1) mark and a restore its undo.
-    harness.snapshot()
-    journal = harness.journal
-    mark = journal.mark
+    # Every edge, forced tail and fast-replay order opens with the
+    # harness's snapshot (a journal mark whose one entry holds the state
+    # every delivery changes) and closes with the journal's undo.
+    journal = harness.bind_journal()
+    snapshot = harness.snapshot
     undo_to = journal.undo_to
     replayed_before = journal.entries_replayed
     dirty_before = harness.ram.dirty_pages_saved
@@ -244,6 +252,9 @@ def check_scenario_incremental(
     # stream's count has a forced tail.
     left = list(lengths)
     final_status: Dict[int, int] = {}
+    # The memo key's part for final_status; None once a final access or
+    # its undo changed final_status, until the next key rebuilds it.
+    status_key: List[Optional[tuple]] = [()]
     memo: Dict[Any, _Subtree] = {}
     track = {"leaves": 0, "reported": 0}
     # Whether the path to the current DFS node is first[:s] + second[:k],
@@ -267,6 +278,7 @@ def check_scenario_incremental(
         if access.final and status is not None:
             old = final_status.get(access.pid, _MISSING)
             final_status[access.pid] = status
+            status_key[0] = None
             return old
         return _NO_CHANGE
 
@@ -280,33 +292,33 @@ def check_scenario_incremental(
         return old
 
     def undo_status(access: AccessSpec, old: Any) -> None:
-        if old is _NO_CHANGE:
-            return
+        """Undo a delivery that changed a final status (*old* is not
+        ``_NO_CHANGE``)."""
         if old is _MISSING:
             del final_status[access.pid]
         else:
             final_status[access.pid] = old
+        status_key[0] = None
 
-    def tick(leaves: int) -> None:
+    def report(leaves: int) -> None:
         track["leaves"] += leaves
-        if progress is not None and (
-                track["leaves"] - track["reported"] >= progress_every):
+        if track["leaves"] - track["reported"] >= progress_every:
             track["reported"] = track["leaves"]
             progress(track["leaves"])
 
+    # Counts covered leaves for the progress callback; nothing else
+    # reads the count, so without a callback nothing is counted.
+    tick = report if progress is not None else None
+
     def evaluate(status_map: Dict[int, int]) -> List[Violation]:
         """Run every property over the harness's current end state."""
-        evidence = ReplayEvidence()
-        evidence.records = list(harness.engine.initiations)
-        evidence.final_status = dict(status_map)
-        contributors = getattr(
-            harness.protocol, "completed_contributors", None)
-        if contributors is not None:
-            evidence.contributors = list(contributors)
-        authority = getattr(
-            harness.protocol, "completed_authority", None)
-        if authority is not None:
-            evidence.authority = list(authority)
+        protocol = harness.protocol
+        contributors = getattr(protocol, "completed_contributors", None)
+        authority = getattr(protocol, "completed_authority", None)
+        evidence = ReplayEvidence(
+            list(harness.engine.initiations), dict(status_map),
+            [] if contributors is None else list(contributors),
+            [] if authority is None else list(authority))
         violations = check_authorized_start(evidence, scenario.rights)
         violations += check_single_issuer(evidence, scenario.rights)
         if scenario.check_truthfulness:
@@ -317,14 +329,17 @@ def check_scenario_incremental(
     def leaf() -> _Subtree:
         t0 = time.perf_counter() if profiler is not None else 0.0
         violations = evaluate(final_status)
-        node = _Subtree(leaves=1)
         if violations:
+            node = _Subtree(leaves=1)
             node.violating = 1
             for prop in {v.prop for v in violations}:
                 node.by_prop[prop] = 1
             if max_examples > 0:
                 node.examples.append(((), violations))
-        tick(1)
+        else:
+            node = _SAFE_LEAF
+        if tick is not None:
+            tick(1)
         if profiler is not None:
             profiler.add_seconds("leaf", time.perf_counter() - t0)
         return node
@@ -347,7 +362,9 @@ def check_scenario_incremental(
             m, n = lengths
             probes = {comb(m - s + n, n) - 1: s for s in range(m + 1)}
         for order in iter_interleavings_shared(streams):
-            token = mark()
+            # An empty scenario's one order changes nothing, so its mark
+            # needs no entry to restore.
+            token = snapshot() if total_length else journal.mark()
             stats.snapshots += 1
             final_status.clear()
             split = (None if probes is None
@@ -383,7 +400,8 @@ def check_scenario_incremental(
                         result.violations_by_property.get(prop, 0) + 1)
                 if len(result.examples) < max_examples:
                     result.examples.append((tuple(order), violations))
-            tick(1)
+            if tick is not None:
+                tick(1)
             undo_to(token)
             stats.restores += 1
         stats.leaves = result.total_interleavings
@@ -401,20 +419,20 @@ def check_scenario_incremental(
         """
         if profiler is not None:
             t0 = time.perf_counter()
-            token = mark()
+            token = snapshot()
             profiler.add_seconds("snapshot", time.perf_counter() - t0)
         else:
-            token = mark()
+            token = snapshot()
         stats.snapshots += 1
         first = lengths[index] - remaining
         tail = tuple(streams[index][first:])
+        # The deliveries that changed a final status, to undo in reverse.
         undos = []
-        if label_credits is not None and probing and index == 1:
-            for k, access in enumerate(tail, first):
-                undos.append((access, credited(access, k)))
-        else:
-            for access in tail:
-                undos.append((access, deliver(access)))
+        credit = label_credits is not None and probing and index == 1
+        for k, access in enumerate(tail, first):
+            old = credited(access, k) if credit else deliver(access)
+            if old is not _NO_CHANGE:
+                undos.append((access, old))
         stats.batched_deliveries += remaining
         node = leaf()
         if node.examples:
@@ -457,21 +475,24 @@ def check_scenario_incremental(
     fingerprint_of = harness.fingerprint if use_transposition else None
 
     def dfs(remaining: int) -> _Subtree:
-        if remaining == 0:
-            return leaf()
+        # A node with one live stream left is a forced tail, so only an
+        # empty scenario's root has nothing left to deliver (see below).
         key = None
         if fingerprint_of is not None:
             fingerprint = fingerprint_of()
             if fingerprint is not None:
-                key = (tuple(left),
-                       tuple(sorted(final_status.items())),
-                       fingerprint)
+                statuses = status_key[0]
+                if statuses is None:
+                    statuses = status_key[0] = tuple(
+                        sorted(final_status.items()))
+                key = (tuple(left), statuses, fingerprint)
                 hit = memo.get(key)
                 if hit is not None:
                     stats.transposition_hits += 1
                     if profiler is not None:
                         profiler.count("transposition_hit")
-                    tick(hit.leaves)
+                    if tick is not None:
+                        tick(hit.leaves)
                     return hit
         if remaining in left:
             node = forced_tail(left.index(remaining), remaining)
@@ -488,10 +509,10 @@ def check_scenario_incremental(
             access = stream[lengths[index] - n_left]
             if profiler is not None:
                 t0 = time.perf_counter()
-                token = mark()
+                token = snapshot()
                 profiler.add_seconds("snapshot", time.perf_counter() - t0)
             else:
-                token = mark()
+                token = snapshot()
             stats.snapshots += 1
             if label_credits is None:
                 old = deliver(access)
@@ -500,7 +521,8 @@ def check_scenario_incremental(
             else:
                 old, child = probing_edge(index, access, n_left, remaining)
             left[index] = n_left
-            undo_status(access, old)
+            if old is not _NO_CHANGE:
+                undo_status(access, old)
             if profiler is not None:
                 t0 = time.perf_counter()
                 undo_to(token)
@@ -523,7 +545,7 @@ def check_scenario_incremental(
             memo[key] = node
         return node
 
-    root = dfs(total_length)
+    root = dfs(total_length) if total_length else leaf()
     # dfs refers to itself through its closure cell; deleting the name
     # breaks that cycle, so the harness and memo table free by
     # reference counting as soon as this call returns.

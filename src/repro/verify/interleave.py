@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import VerificationError
-from ..hw.device import AccessContext
 from ..hw.dma.engine import DmaEngine
 from ..hw.dma.protocols.keyed import (
     ARG_DESTINATION,
@@ -107,14 +106,16 @@ class ProtocolHarness:
 
         The spec's fields are the decoded access, so it goes straight to
         the engine's decoded entry point (no shadow offset is built and
-        taken apart again).
+        taken apart again), with the spec's pid as the issuer and the
+        clock before this delivery as its time.
         """
         route = _ROUTES.get(access.op)
         if route is None:
             raise VerificationError(f"unknown access op {access.op!r}")
-        ctx = AccessContext(access.pid, False, self.sim.now)
-        self.sim.advance(1)  # keep timestamps strictly ordered
-        return route(self.engine, access, ctx)
+        sim = self.sim
+        when = sim.now
+        sim.advance(1)  # keep timestamps strictly ordered
+        return route(self.engine, access, when)
 
     def replay(self, interleaving: Sequence[AccessSpec]) -> ReplayEvidence:
         """Reset and replay one interleaving, collecting evidence."""
@@ -146,6 +147,18 @@ class ProtocolHarness:
 
     # -- snapshot/restore --------------------------------------------------
 
+    def bind_journal(self) -> UndoJournal:
+        """The stack's shared undo journal, bound to the simulator, RAM
+        and engine on first use (the first :meth:`snapshot` binds it
+        too).  Binding records nothing and opens no epoch."""
+        journal = self.journal
+        if journal is None:
+            journal = self.journal = UndoJournal()
+            self.sim.bind_journal(journal)
+            self.ram.bind_journal(journal)
+            self.engine.bind_journal(journal)
+        return journal
+
     def snapshot(self) -> int:
         """Mark the whole component stack (sim, RAM, engine, protocol).
 
@@ -153,16 +166,33 @@ class ProtocolHarness:
         restores on backtrack, so each access is delivered once per tree
         edge instead of once per interleaving it appears in.  The first
         snapshot after a reset binds one shared undo journal to the
-        stack; from then on every mutation records its undo, and the
-        snapshot itself is an O(1) ``journal.mark()``.
+        stack; from then on every mutation records its undo.
+
+        A snapshot opens the edge's journal epoch with one entry that
+        holds the state every delivery changes: the simulator's clock
+        and counters and the engine's scalar blob (its registers and the
+        protocol FSM's state).  It then stamps the simulator's and the
+        engine's epochs, so neither captures that state again inside
+        the epoch.  The engine is left unstamped while its span tracer
+        holds state, since the engine's own capture also records the
+        tracer.  An epoch opened by a bare ``journal.mark()`` or by an
+        undo finds both unstamped, and they capture for themselves.
         """
         journal = self.journal
         if journal is None:
-            journal = self.journal = UndoJournal()
-            self.sim.bind_journal(journal)
-            self.ram.bind_journal(journal)
-            self.engine.bind_journal(journal)
-        return journal.mark()
+            journal = self.bind_journal()
+        sim = self.sim
+        engine = self.engine
+        token = journal.mark_with(_restore_edge, (
+            sim, sim.now, sim._seq, sim._events_fired,
+            engine, engine._scalar_state()))
+        epoch = journal.epoch
+        sim._j_epoch = epoch
+        spans = engine.spans
+        # Idle exactly when SpanTracer.snapshot() returns None.
+        if not (spans.enabled or spans._open or spans._finished):
+            engine._j_epoch = epoch
+        return token
 
     def restore(self, token: int) -> None:
         """Undo every mutation made since :meth:`snapshot` returned
@@ -188,20 +218,30 @@ class ProtocolHarness:
                 self.engine.fingerprint())
 
 
+def _restore_edge(entry: tuple) -> None:
+    """Undo of the entry :meth:`ProtocolHarness.snapshot` opens an edge
+    with: the simulator's clock and counters, then the engine's scalar
+    blob."""
+    sim, now, seq, fired, engine, scalars = entry
+    sim.now, sim._seq, sim._events_fired = now, seq, fired
+    engine._restore_scalar_state(scalars)
+
+
 #: op -> delivery of an :class:`AccessSpec` to the engine's decoded
-#: entry point (context-page ops address the size/status register, at
-#: page offset 0).
+#: entry point, as a user-mode access by the spec's pid at time *when*
+#: (context-page ops address the size/status register, at page offset
+#: 0).
 _ROUTES = {
-    "store": lambda engine, a, ctx: engine.shadow_store(
-        a.ctx_id, a.paddr, a.data, ctx),
-    "load": lambda engine, a, ctx: engine.shadow_load(a.ctx_id, a.paddr,
-                                                      ctx),
-    "exchange": lambda engine, a, ctx: engine.shadow_exchange(
-        a.ctx_id, a.paddr, a.data, ctx),
-    "ctx-store": lambda engine, a, ctx: engine.context_store(
-        a.ctx_id, 0, a.data, ctx),
-    "ctx-load": lambda engine, a, ctx: engine.context_load(a.ctx_id, 0,
-                                                           ctx),
+    "store": lambda engine, a, when: engine.shadow_store(
+        a.ctx_id, a.paddr, a.data, a.pid, False, when),
+    "load": lambda engine, a, when: engine.shadow_load(
+        a.ctx_id, a.paddr, a.pid, False, when),
+    "exchange": lambda engine, a, when: engine.shadow_exchange(
+        a.ctx_id, a.paddr, a.data, a.pid, False, when),
+    "ctx-store": lambda engine, a, when: engine.context_store(
+        a.ctx_id, 0, a.data, a.pid, False, when),
+    "ctx-load": lambda engine, a, when: engine.context_load(
+        a.ctx_id, 0, a.pid, False, when),
 }
 
 

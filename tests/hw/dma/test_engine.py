@@ -1,6 +1,10 @@
 """Unit tests for the DMA engine device: windows, privileges, records."""
 
+from types import SimpleNamespace
+
 import pytest
+
+from tests.conftest import drop_fingerprint_caches
 
 from repro.errors import ConfigError, DeviceError
 from repro.hw.device import AccessContext
@@ -14,6 +18,12 @@ from repro.hw.dma.engine import (
     REG_SIZE,
     REG_SOURCE,
     REG_STATUS,
+)
+from repro.hw.dma.protocols.keyed import (
+    ARG_DESTINATION,
+    ARG_SOURCE,
+    KeyedProtocol,
+    pack_key_word,
 )
 from repro.hw.dma.protocols.shrimp2 import PendingPairProtocol
 from repro.hw.dma.status import STATUS_FAILURE
@@ -200,3 +210,41 @@ def test_exchange_outside_shadow_rejected():
     _, _, engine = make_engine()
     with pytest.raises(DeviceError):
         engine.mmio_exchange(0, 1, USER)
+
+
+def test_unjournaled_fingerprint_equals_a_cold_one():
+    """An engine with no journal skips its context captures, so its
+    fingerprint must not serve the contexts' part from a cache: after
+    every context-page write, keyed argument store, start and context
+    assignment it equals the fingerprint recomputed with every cache
+    dropped."""
+    sim = Simulator()
+    ram = PhysicalMemory(kib(64))
+    engine = DmaEngine(sim, ram, KeyedProtocol())
+    stack = SimpleNamespace(engine=engine, sim=sim, protocol=engine.protocol)
+    key = 0x5EC2E7
+    engine.install_key(0, key)
+    layout = engine.layout
+
+    def shadow(paddr):
+        return layout.shadow_offset + paddr
+
+    steps = [
+        lambda: engine.assign_context(0, 1),
+        lambda: engine.mmio_write(
+            shadow(0x2000), pack_key_word(key, 0, ARG_DESTINATION), USER),
+        lambda: engine.mmio_write(
+            shadow(0x1000), pack_key_word(key, 0, ARG_SOURCE), USER),
+        lambda: engine.mmio_write(0, 256, USER),  # context 0's size
+        lambda: engine.mmio_read(0, USER),  # starts the transfer
+        lambda: engine.mmio_write(0, 512, USER),
+        lambda: engine.assign_context(0, 2),
+        lambda: engine.release_context(0),
+    ]
+    engine.fingerprint()
+    for step in steps:
+        step()
+        cached = engine.fingerprint()
+        drop_fingerprint_caches(stack)
+        assert cached == engine.fingerprint()
+    assert engine.transfer_engine.transfers_started == 1

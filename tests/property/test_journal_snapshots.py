@@ -142,6 +142,100 @@ def test_journaled_matches_plain_random_walk(method, data):
     assert plain.journal is None
 
 
+def span_state(harness: ProtocolHarness) -> Tuple:
+    """The engine span tracer's observable state, as comparable values
+    (open spans by id: a harness never completes a transfer, so no
+    open span is ended)."""
+    spans = harness.engine.spans
+    return (spans._next_id,
+            [(s.span_id, s.parent_id, s.name, s.track, s.start, s.end)
+             for s in spans._finished],
+            sorted(spans._open), list(spans._stack), spans.dropped)
+
+
+def delivering_only(method: str, delivered: List[AccessSpec],
+                    spans: bool) -> ProtocolHarness:
+    """A never-journaled harness that delivered *delivered*."""
+    harness = make_method_harness(method)
+    harness.engine.spans.enabled = spans
+    for access in delivered:
+        harness.deliver(access)
+    return harness
+
+
+#: Steps of the mixed-mark walk below.
+EDGE, BARE, DELIVER, UNDO = "edge", "bare", "deliver", "undo"
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(sorted(METHODS)), spans=st.booleans(),
+       data=st.data())
+def test_edge_marks_nest_with_bare_marks_in_lockstep(method, spans, data):
+    """Edges opened the checker's way stay exact among bare marks.
+
+    ``snapshot()`` opens an edge with one entry holding the clock and
+    the engine's scalars, so the simulator's and the engine's own
+    captures stay silent in that epoch; a bare ``journal.mark()`` and
+    every undo leave them to capture for themselves.  The walk mixes
+    both kinds of mark, delivers up to three accesses in one epoch (a
+    forced tail), and after an undo delivers more in the outer epoch.
+    After every step the harness observes exactly what a
+    never-journaled harness fed the same accesses does (its cached
+    fingerprint equal to a cold one), span tracer included when spans
+    are on; after every undo, exactly what it observed at the mark.
+    """
+    streams = method_streams(method)
+    harness = delivering_only(method, [], spans)
+    journal = harness.bind_journal()
+    plain = delivering_only(method, [], spans)
+    positions = [0] * len(streams)
+    delivered: List[AccessSpec] = []
+    marks: List[Tuple[int, Tuple, Tuple, int, List[int]]] = []
+
+    def deliver_some(most: int) -> None:
+        for _ in range(data.draw(st.integers(1, most))):
+            live = [i for i, stream in enumerate(streams)
+                    if positions[i] < len(stream)]
+            if not live:
+                return
+            index = data.draw(st.sampled_from(live))
+            access = streams[index][positions[index]]
+            positions[index] += 1
+            assert harness.deliver(access) == plain.deliver(access)
+            delivered.append(access)
+
+    for _ in range(24):
+        can_deliver = any(p < len(s) for p, s in zip(positions, streams))
+        steps = [UNDO] if marks else []
+        if can_deliver:
+            steps += [EDGE, BARE, DELIVER]
+        if not steps:
+            break
+        step = data.draw(st.sampled_from(steps))
+        if step == UNDO:
+            token, expected, expected_spans, depth, positions = marks.pop()
+            harness.restore(token)
+            assert observe(harness) == expected
+            assert span_state(harness) == expected_spans
+            del delivered[depth:]
+            plain = delivering_only(method, delivered, spans)
+        elif step == DELIVER:
+            deliver_some(2)
+        else:
+            at_mark = (observe(harness), span_state(harness),
+                       len(delivered), list(positions))
+            token = harness.snapshot() if step == EDGE else journal.mark()
+            marks.append((token,) + at_mark)
+            deliver_some(3)
+        assert observe(harness) == observe(plain)
+        assert span_state(harness) == span_state(plain)
+    while marks:
+        token, expected, expected_spans, _, _ = marks.pop()
+        harness.restore(token)
+        assert observe(harness) == expected
+        assert span_state(harness) == expected_spans
+
+
 @settings(max_examples=40, deadline=None)
 @given(method=st.sampled_from(sorted(METHODS)), data=st.data())
 def test_nested_snapshot_stack_unwinds_exactly(method, data):
