@@ -145,7 +145,6 @@ class DmaEngine(MmioDevice):
         self._mapout_src_latch: Optional[int] = None
         # Shared undo journal (checker backtracking): None when unbound.
         self._undo: Optional[UndoJournal] = None
-        self._j_epoch = 0
         self._ctx_epochs = [0] * len(self.contexts)
         # Fingerprint caches, valid only because every mutation site
         # either keys them on a length (append/truncate-only lists) or
@@ -168,19 +167,24 @@ class DmaEngine(MmioDevice):
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal.
 
-        While bound, the first MMIO access of each journal epoch captures
-        the engine's hot mutable state (protocol FSM blob, scalar
-        registers) as one journal entry, a register context is captured
-        where it is mutated (once per epoch, see :meth:`capture_context`),
-        and the rare mutations (table writes, initiation-record appends)
-        record individually — so ``journal.undo_to(mark)`` restores the
-        engine at cost proportional to what actually changed.  The
-        checker's harness captures the scalar blob itself when it opens
-        a tree edge and stamps :attr:`_j_epoch`, so the first access
-        does not capture it again.  Cascades to the transfer engine.
+        While bound, a register context is captured where it is mutated
+        (once per epoch, see :meth:`capture_context`) and the rare
+        mutations (table writes, initiation-record appends) record
+        individually, so ``journal.undo_to(mark)`` restores the engine
+        at cost proportional to what actually changed.  The scalar blob
+        (:meth:`_scalar_state`) is captured by whoever marks: the
+        checker's harness puts it in each edge's mark.  Cascades to the
+        transfer engine.
+
+        Raises:
+            ConfigError: if the engine's span tracer (which the transfer
+                engine shares) is enabled: undo does not rewind spans.
         """
+        if journal is not None and self.spans.enabled:
+            raise ConfigError(
+                f"{self.name}: a journaled engine records no spans; "
+                "disable its span tracer first")
         self._undo = journal
-        self._j_epoch = 0
         self._ctx_epochs = [0] * len(self.contexts)
         self._init_fp = ()
         self._tables_fp = None
@@ -188,23 +192,9 @@ class DmaEngine(MmioDevice):
         self._ctx_fps = [None] * len(self.contexts)
         self.transfer_engine.bind_journal(journal)
 
-    def _j_access(self, journal: UndoJournal) -> None:
-        """Capture the per-access hot state for this journal epoch.
-
-        Callers test ``self._j_epoch != journal.epoch`` first, so an
-        unjournaled engine, or one already captured this epoch, makes no
-        call.  With spans on, the tracer's state is captured too.
-        """
-        self._j_epoch = journal.epoch
-        journal.record_call(self._restore_scalar_state, self._scalar_state())
-        span_state = self.spans.snapshot()
-        if span_state is not None:
-            journal.record_call(self.spans.restore, span_state)
-
     def _scalar_state(self) -> tuple:
         """The protocol FSM blob and the scalar engine state, captured
-        together (one journal entry) once per journal epoch, by the
-        engine or by the checker's harness at each tree edge.
+        together in the mark that opens each checker edge.
 
         Subclasses with extra scalar state extend the tuple (and override
         :meth:`_restore_scalar_state` to match).
@@ -226,11 +216,11 @@ class DmaEngine(MmioDevice):
 
         Called only with a journal bound, before every register-context
         mutation: the context-page accesses, :meth:`try_start`, the
-        keyed and capio argument stores, and the kernel's context
-        management.  The capture happens once per journal epoch; the
-        context's cached fingerprint drops on every call.  (An
-        unjournaled engine keeps no contexts' fingerprint cache, so its
-        mutation sites skip this call.)
+        keyed and capio argument stores, and the kernel's
+        :meth:`assign_context` and :meth:`release_context`.  The capture
+        happens once per journal epoch; the context's cached fingerprint
+        drops on every call.  (An unjournaled engine keeps no contexts'
+        fingerprint cache, so its mutation sites skip this call.)
         """
         ctx_id = context.ctx_id
         self._ctx_fps[ctx_id] = None
@@ -291,9 +281,6 @@ class DmaEngine(MmioDevice):
             self.context_store(page, offset & PAGE_MASK, value,
                                issuer, kernel, when)
             return
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         reg = offset & PAGE_MASK
         if page == layout.key_page_offset >> PAGE_SHIFT:
             self._key_write(reg, value, ctx)
@@ -315,9 +302,6 @@ class DmaEngine(MmioDevice):
         if 0 <= page < layout.n_contexts:
             return self.context_load(page, offset & PAGE_MASK,
                                      issuer, kernel, when)
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         reg = offset & PAGE_MASK
         if page == layout.key_page_offset >> PAGE_SHIFT:
             return self._key_read(reg, ctx)
@@ -348,9 +332,6 @@ class DmaEngine(MmioDevice):
                      issuer: Optional[int], kernel: bool,
                      when: Time) -> None:
         """A store to ``shadow(paddr)`` carrying CONTEXT_ID *ctx_id*."""
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         access = ShadowAccess("store", ctx_id, paddr, value, issuer,
                               kernel, when)
         if self.spans.enabled:
@@ -364,9 +345,6 @@ class DmaEngine(MmioDevice):
     def shadow_load(self, ctx_id: int, paddr: int, issuer: Optional[int],
                     kernel: bool, when: Time) -> int:
         """A load from ``shadow(paddr)``; returns the status word."""
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         access = ShadowAccess("load", ctx_id, paddr, 0, issuer, kernel,
                               when)
         if self.spans.enabled:
@@ -382,9 +360,6 @@ class DmaEngine(MmioDevice):
                         issuer: Optional[int], kernel: bool,
                         when: Time) -> int:
         """An atomic exchange on ``shadow(paddr)``; returns the status."""
-        journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         access = ShadowAccess("exchange", ctx_id, paddr, value, issuer,
                               kernel, when)
         if self.spans.enabled:
@@ -401,10 +376,7 @@ class DmaEngine(MmioDevice):
                       when: Time) -> None:
         """A store to register *reg* of context page *ctx_index*."""
         context = self.contexts[ctx_index]
-        journal = self._undo
-        if journal is not None:
-            if self._j_epoch != journal.epoch:
-                self._j_access(journal)
+        if self._undo is not None:
             self.capture_context(context)
         access = ShadowAccess("store", ctx_index, 0, value, issuer, kernel,
                               when)
@@ -420,10 +392,7 @@ class DmaEngine(MmioDevice):
                      kernel: bool, when: Time) -> int:
         """A load from register *reg* of context page *ctx_index*."""
         context = self.contexts[ctx_index]
-        journal = self._undo
-        if journal is not None:
-            if self._j_epoch != journal.epoch:
-                self._j_access(journal)
+        if self._undo is not None:
             self.capture_context(context)
         access = ShadowAccess("load", ctx_index, 0, 0, issuer, kernel, when)
         if self.spans.enabled:
@@ -462,8 +431,6 @@ class DmaEngine(MmioDevice):
         start time) on success, ``STATUS_FAILURE`` otherwise.
         """
         journal = self._undo
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_access(journal)
         via_name = via if via is not None else self.protocol.name
         ok = (size > 0
               and self._valid_source(psrc, size)
@@ -731,10 +698,17 @@ class DmaEngine(MmioDevice):
         return tuple(fps)
 
     def reset(self) -> None:
-        """Power-on reset: contexts, tables, protocol state, records."""
+        """Power-on reset: contexts, tables, protocol state, records.
+
+        Raises:
+            ConfigError: while a journal is bound: a checker harness
+                resets by building a new stack, so undo does not cover
+                a reset.
+        """
+        if self._undo is not None:
+            raise ConfigError(
+                f"{self.name}: a journaled engine cannot be reset")
         for context in self.contexts:
-            if self._undo is not None:
-                self.capture_context(context)
             context.reset()
             context.owner_pid = None
         self.key_table.clear()

@@ -206,8 +206,9 @@ class InitiationProtocol(ABC):
     def snapshot_state(self) -> Any:
         """Capture the FSM's mutable state for later :meth:`restore_state`.
 
-        The engine records it into the undo journal once per epoch, so
-        it must be cheap: a small hand-rolled tuple, not a deep copy.
+        The checker's harness records it in the mark that opens every
+        tree edge, so it must be cheap: a small hand-rolled tuple, not
+        a deep copy.
         """
 
     @abstractmethod

@@ -144,7 +144,7 @@ class PhysicalMemory:
 
         While bound, mutations copy each dirty page once per journal
         epoch (page-granular copy-on-write): the first write to a page
-        after a ``mark()``/``undo_to()`` saves the whole 8 KiB page into
+        after a journal mark or undo saves the whole 8 KiB page into
         the journal, and further writes to it in the same epoch are
         free.  Restore is ``journal.undo_to(mark)``.
         """

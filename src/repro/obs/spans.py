@@ -31,7 +31,7 @@ return of :data:`NULL_SPAN`; hot call sites additionally guard with
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..errors import ObservabilityError
 from ..units import Time
@@ -312,32 +312,6 @@ class SpanTracer:
         self._open.clear()
         self._stack.clear()
         self.dropped = 0
-
-    # ------------------------------------------------------------------
-    # snapshot/restore (checker-backtracking compatibility)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Optional[Tuple[Any, ...]]:
-        """Capture tracer state; trivially None while nothing is traced."""
-        if not self.enabled and not self._finished and not self._open:
-            return None
-        return (self._next_id, list(self._finished),
-                dict(self._open), list(self._stack), self.dropped)
-
-    def restore(self, token: Optional[Tuple[Any, ...]]) -> None:
-        """Return to a state captured by :meth:`snapshot`."""
-        if token is None:
-            self._finished.clear()
-            self._open.clear()
-            self._stack.clear()
-            self.dropped = 0
-            return
-        next_id, finished, open_spans, stack, dropped = token
-        self._next_id = next_id
-        self._finished = list(finished)
-        self._open = dict(open_spans)
-        self._stack = list(stack)
-        self.dropped = dropped
 
 
 def disabled_tracer() -> SpanTracer:

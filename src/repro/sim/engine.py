@@ -42,7 +42,7 @@ O(changes) undo journaling (see :mod:`repro.sim.journal`).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..units import Time
@@ -68,35 +68,19 @@ class Simulator:
         self._sig: Optional[Tuple[Tuple[Time, str], ...]] = None
         # -- undo journal --
         self._journal: Optional[UndoJournal] = None
-        self._j_epoch = 0
 
     # -- journaling -----------------------------------------------------
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal.
 
-        While bound, every mutation records its undo into the journal, so
-        ``journal.undo_to(mark)`` returns the clock and the queue to
-        their state at ``mark = journal.mark()`` at O(changes) cost: the
-        clock and counters are captured once per journal epoch, and each
-        push and each pop records one entry.  The checker's harness
-        captures the clock and counters itself when it opens a tree
-        edge and stamps :attr:`_j_epoch`, so they are not captured
-        twice (see :meth:`~repro.verify.interleave.ProtocolHarness.
-        snapshot`).
+        While bound, each push and each pop records one entry, so
+        ``journal.undo_to(mark)`` returns the queue to its state at the
+        mark at O(changes) cost.  The clock and counters are captured by
+        whoever marks (:meth:`~repro.verify.interleave.ProtocolHarness.
+        snapshot` puts them in the mark's entry), not here.
         """
         self._journal = journal
-        self._j_epoch = 0
-
-    def _j_state(self, journal: UndoJournal) -> None:
-        """Capture the scalar clock/counter blob for this journal epoch
-        (callers test the epoch first)."""
-        self._j_epoch = journal.epoch
-        journal.record_call(self._restore_scalars, (
-            self.now, self._seq, self._events_fired))
-
-    def _restore_scalars(self, blob: Tuple[Any, ...]) -> None:
-        self.now, self._seq, self._events_fired = blob
 
     def _j_unpush(self, entry: _Entry) -> None:
         """Undo of a push: take *entry* out of the queue again."""
@@ -137,8 +121,6 @@ class Simulator:
         self._seq += 1
         journal = self._journal
         if journal is not None:
-            if self._j_epoch != journal.epoch:
-                self._j_state(journal)
             journal.record_call(self._j_unpush, entry)
         heappush(self._queue, entry)
         self._sig = None
@@ -164,9 +146,6 @@ class Simulator:
         queue = self._queue
         while queue and queue[0][0] <= target:
             self.step()
-        journal = self._journal
-        if journal is not None and self._j_epoch != journal.epoch:
-            self._j_state(journal)
         self.now = target
         return target
 
@@ -184,8 +163,6 @@ class Simulator:
         entry = heappop(queue)
         journal = self._journal
         if journal is not None:
-            if self._j_epoch != journal.epoch:
-                self._j_state(journal)
             journal.record_call(self._j_unpop, entry)
         self._sig = None
         self.now = entry[0]
@@ -210,9 +187,6 @@ class Simulator:
             self.step()
             fired += 1
         if until is not None:
-            journal = self._journal
-            if journal is not None and self._j_epoch != journal.epoch:
-                self._j_state(journal)
             self.now = max(self.now, until)
         return fired
 
@@ -238,9 +212,6 @@ class Simulator:
         queue = self._queue
         while queue:
             if deadline is not None and queue[0][0] > deadline:
-                journal = self._journal
-                if journal is not None and self._j_epoch != journal.epoch:
-                    self._j_state(journal)
                 self.now = deadline
                 return predicate()
             self.step()

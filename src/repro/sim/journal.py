@@ -4,42 +4,37 @@ The incremental checker backtracks after every tree edge, usually
 after a delivery that touched two scalars.  Rather than capturing every
 component's state by value (O(total state) per edge), components
 *record the old value of whatever they are about to mutate* into one
-shared :class:`UndoJournal`; a snapshot is just a mark (the current
-journal length), and restore replays the entries recorded since the
-mark, newest first.  Cost is proportional to what actually changed,
-not to what exists.
+shared :class:`UndoJournal`; a snapshot is a mark (the journal length
+when the mark's own entry went in), and restore replays the entries
+recorded since the mark, newest first.  Cost is proportional to what
+actually changed, not to what exists.
 
-Two recording disciplines coexist, chosen per mutation site:
+One rule says where state is captured: **the mark captures the state
+every edge changes; everything else is captured where it is mutated.**
 
-* **Per-mutation entries** for state that changes rarely (key-table
-  writes, initiation-record appends, heap pushes): one entry per
-  mutation, zero cost when the mutation never happens.
-* **Per-epoch capture** for small hot state blobs (a protocol FSM's
-  scalar tuple, a register context, the simulator clock): the first
-  mutation after each :meth:`mark`/:meth:`undo_to` captures the whole
-  blob once, and later mutations inside the same epoch are free.  Each
-  capture site tests ``journal is not None and epoch != journal.epoch``
-  inline before calling the capture, so a component with no journal,
-  or one already captured this epoch, calls no journal code.  The
-  blob holds references, not copies: the protocol state it captures
-  (tuples, and dicts that every write replaces) is never mutated in
-  place, so neither the capture nor the undo copies it.  The
+* **At the mark.**  :meth:`UndoJournal.mark` takes the caller's capture
+  as the new epoch's first entry.  The checker's harness passes the
+  simulator clock and the DMA engine's scalar blob (its registers and
+  the protocol FSM's state), which almost every delivery changes
+  (:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`).  That
+  entry is the oldest since the mark, so undo replays it last and it
+  wins over whatever changed that state inside the mark, deliveries
+  after an inner undo included.  The caller passes the entry at each
+  mark: a capture callback kept on the journal would hold the harness,
+  which holds the journal.
+* **Where mutated.**  State that changes rarely (key-table writes,
+  initiation-record appends, heap pushes and pops) records one entry
+  per mutation, at zero cost when the mutation never happens.  Small
+  blobs that only some edges change (a register context, a RAM page,
+  the transfer engine's counters) are captured once per epoch: the
+  first mutation after each :meth:`mark`/:meth:`undo_to` captures the
+  whole blob, and later mutations inside the same epoch are free.  The
   :attr:`epoch` counter increments on every mark *and* every undo, so a
   component comparing its stamped epoch against the journal's knows
-  whether the current blob is already safely captured.  A blob is
-  captured at the sites that mutate it, so an epoch pays only for the
-  blobs it changed: the DMA engine captures one register context where
-  it is written (context-page accesses, starts, keyed and capio
-  argument stores, the kernel's context assignment, release and reset),
-  never every context on every access.
-
-A caller that opens epochs often may capture the hottest blobs itself
-at the mark (:meth:`mark_with`) and stamp the components' epochs, so one
-entry covers them all: the checker's harness opens every tree edge with
-the simulator clock and the DMA engine's scalar blob in one entry
-(:meth:`~repro.verify.interleave.ProtocolHarness.snapshot`).  An epoch
-opened any other way (a bare :meth:`mark`, an :meth:`undo_to`) finds the
-components unstamped, so they capture for themselves again.
+  whether the current blob is already safely captured.  A blob holds
+  references, not copies: the protocol state (tuples, and dicts that
+  every write replaces) is never mutated in place, so neither the
+  capture nor the undo copies it.
 
 Each entry is an ``(undo, arg)`` pair and replay calls ``undo(arg)`` —
 one uniform step, no per-entry dispatch.  Correctness relies only on
@@ -79,18 +74,10 @@ class UndoJournal:
 
     # -- marks ----------------------------------------------------------
 
-    def mark(self) -> int:
-        """O(1) snapshot: remember the journal length, open a new epoch."""
-        self.epoch += 1
-        return len(self._ops)
-
-    def mark_with(self, undo: Callable[[Any], Any], arg: Any) -> int:
-        """:meth:`mark`, with ``undo(arg)`` as the new epoch's first entry.
-
-        For a caller that captures the hot state of several components
-        itself when it opens an epoch, in one entry; it then stamps
-        their epochs, so their own per-epoch captures stay silent.
-        """
+    def mark(self, undo: Callable[[Any], Any], arg: Any) -> int:
+        """O(1) snapshot: open a new epoch whose first entry is
+        ``undo(arg)``, the caller's capture of the state every edge
+        changes; returns the token :meth:`undo_to` takes."""
         self.epoch += 1
         ops = self._ops
         mark = len(ops)

@@ -168,7 +168,6 @@ def check_scenario_incremental(
         scenario: Scenario,
         max_examples: int = 5,
         max_interleavings: Optional[int] = None,
-        use_transposition: bool = True,
         progress: Optional[Callable[[int], None]] = None,
         progress_every: int = 1000,
         stats: Optional[CheckStats] = None,
@@ -183,11 +182,6 @@ def check_scenario_incremental(
         max_examples: retain at most this many violating examples.
         max_interleavings: optional safety cap on the order count of the
             *full* scenario; exceeding it raises.
-        use_transposition: merge converged states (identical position
-            vector + behaviour-identical harness state) by reusing the
-            first visit's subtree summary.  Results are identical either
-            way; the table trades memory for work on scenarios whose
-            streams frequently cancel out.
         progress: optional liveness callback, invoked with the number of
             interleavings covered so far, roughly every *progress_every*
             orders (transposition hits can make it jump).
@@ -196,9 +190,9 @@ def check_scenario_incremental(
         profiler: optional :class:`~repro.obs.profile.PhaseProfiler`;
             when given, accumulates wall time for the ``snapshot``,
             ``restore``, ``deliver``, and ``leaf`` phases and counts
-            ``expansion`` / ``transposition_hit`` events.  When None
-            (the default) the hot path pays one ``is not None`` test
-            per operation.
+            ``expansion`` / ``transposition_hit`` events.  The timed
+            operations go through wrappers bound once per check, so an
+            unprofiled check pays nothing for the timing.
         harness: optional harness to check on instead of building one.
             It must come from
             :func:`~repro.verify.model_check.make_harness` for a scenario
@@ -241,10 +235,13 @@ def check_scenario_incremental(
         harness = make_harness(scenario)
     # Every edge, forced tail and fast-replay order opens with the
     # harness's snapshot (a journal mark whose one entry holds the state
-    # every delivery changes) and closes with the journal's undo.
+    # every delivery changes) and closes with the journal's undo.  An
+    # empty scenario's one order delivers nothing, so it takes no mark:
+    # its token is the journal's length.
     journal = harness.bind_journal()
-    snapshot = harness.snapshot
+    snapshot = harness.snapshot if total_length else journal.__len__
     undo_to = journal.undo_to
+    deliver_access = harness.deliver
     replayed_before = journal.entries_replayed
     dirty_before = harness.ram.dirty_pages_saved
     # Accesses left per stream: a stream's next access is at
@@ -269,12 +266,7 @@ def check_scenario_incremental(
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
         stats.accesses_delivered += 1
-        if profiler is not None:
-            t0 = time.perf_counter()
-            status = harness.deliver(access)
-            profiler.add_seconds("deliver", time.perf_counter() - t0)
-        else:
-            status = harness.deliver(access)
+        status = deliver_access(access)
         if access.final and status is not None:
             old = final_status.get(access.pid, _MISSING)
             final_status[access.pid] = status
@@ -326,8 +318,14 @@ def check_scenario_incremental(
                 evidence, scenario.intents, REJECTION_WORDS)
         return violations
 
+    if profiler is not None:
+        # Each timed phase goes through a wrapper bound here once.
+        snapshot = _timed(snapshot, "snapshot", profiler)
+        undo_to = _timed(undo_to, "restore", profiler)
+        deliver_access = _timed(deliver_access, "deliver", profiler)
+        evaluate = _timed(evaluate, "leaf", profiler)
+
     def leaf() -> _Subtree:
-        t0 = time.perf_counter() if profiler is not None else 0.0
         violations = evaluate(final_status)
         if violations:
             node = _Subtree(leaves=1)
@@ -340,8 +338,6 @@ def check_scenario_incremental(
             node = _SAFE_LEAF
         if tick is not None:
             tick(1)
-        if profiler is not None:
-            profiler.add_seconds("leaf", time.perf_counter() - t0)
         return node
 
     # Adaptive cutover: a tree this small cannot amortize the DFS's
@@ -362,9 +358,7 @@ def check_scenario_incremental(
             m, n = lengths
             probes = {comb(m - s + n, n) - 1: s for s in range(m + 1)}
         for order in iter_interleavings_shared(streams):
-            # An empty scenario's one order changes nothing, so its mark
-            # needs no entry to restore.
-            token = snapshot() if total_length else journal.mark()
+            token = snapshot()
             stats.snapshots += 1
             final_status.clear()
             split = (None if probes is None
@@ -372,13 +366,7 @@ def check_scenario_incremental(
             if split is None:
                 for access in order:
                     stats.accesses_delivered += 1
-                    if profiler is not None:
-                        t0 = time.perf_counter()
-                        status = harness.deliver(access)
-                        profiler.add_seconds(
-                            "deliver", time.perf_counter() - t0)
-                    else:
-                        status = harness.deliver(access)
+                    status = deliver_access(access)
                     if access.final and status is not None:
                         final_status[access.pid] = status
             else:
@@ -388,10 +376,7 @@ def check_scenario_incremental(
                         credited(access, k)
                     else:
                         deliver(access)
-            t0 = time.perf_counter() if profiler is not None else 0.0
             violations = evaluate(final_status)
-            if profiler is not None:
-                profiler.add_seconds("leaf", time.perf_counter() - t0)
             result.total_interleavings += 1
             if violations:
                 result.violating_interleavings += 1
@@ -417,12 +402,7 @@ def check_scenario_incremental(
         snapshot/restore pair instead of one pair per access.  Counts
         and the retained example are identical to the unbatched walk.
         """
-        if profiler is not None:
-            t0 = time.perf_counter()
-            token = snapshot()
-            profiler.add_seconds("snapshot", time.perf_counter() - t0)
-        else:
-            token = snapshot()
+        token = snapshot()
         stats.snapshots += 1
         first = lengths[index] - remaining
         tail = tuple(streams[index][first:])
@@ -440,12 +420,7 @@ def check_scenario_incremental(
                              for suffix, violations in node.examples]
         for access, old in reversed(undos):
             undo_status(access, old)
-        if profiler is not None:
-            t0 = time.perf_counter()
-            undo_to(token)
-            profiler.add_seconds("restore", time.perf_counter() - t0)
-        else:
-            undo_to(token)
+        undo_to(token)
         stats.restores += 1
         return node
 
@@ -468,32 +443,31 @@ def check_scenario_incremental(
         probing = was
         return old, child
 
-    # The transposition table's state capture; None turns merging off.
-    # (It also keeps dfs's closure at 19 names: CPython 3.11 files a
-    # freed 20-item tuple on a free list it never takes from, so a
-    # 20-name closure would strand one tuple per check.)
-    fingerprint_of = harness.fingerprint if use_transposition else None
+    # The transposition table's state capture, bound once.  (Binding it
+    # also keeps dfs's closure at 19 names: CPython 3.11 files a freed
+    # 20-item tuple on a free list it never takes from, so a 20-name
+    # closure would strand one tuple per check.)
+    fingerprint_of = harness.fingerprint
 
     def dfs(remaining: int) -> _Subtree:
         # A node with one live stream left is a forced tail, so only an
         # empty scenario's root has nothing left to deliver (see below).
         key = None
-        if fingerprint_of is not None:
-            fingerprint = fingerprint_of()
-            if fingerprint is not None:
-                statuses = status_key[0]
-                if statuses is None:
-                    statuses = status_key[0] = tuple(
-                        sorted(final_status.items()))
-                key = (tuple(left), statuses, fingerprint)
-                hit = memo.get(key)
-                if hit is not None:
-                    stats.transposition_hits += 1
-                    if profiler is not None:
-                        profiler.count("transposition_hit")
-                    if tick is not None:
-                        tick(hit.leaves)
-                    return hit
+        fingerprint = fingerprint_of()
+        if fingerprint is not None:
+            statuses = status_key[0]
+            if statuses is None:
+                statuses = status_key[0] = tuple(
+                    sorted(final_status.items()))
+            key = (tuple(left), statuses, fingerprint)
+            hit = memo.get(key)
+            if hit is not None:
+                stats.transposition_hits += 1
+                if profiler is not None:
+                    profiler.count("transposition_hit")
+                if tick is not None:
+                    tick(hit.leaves)
+                return hit
         if remaining in left:
             node = forced_tail(left.index(remaining), remaining)
             if key is not None:
@@ -507,12 +481,7 @@ def check_scenario_incremental(
             if not n_left:
                 continue
             access = stream[lengths[index] - n_left]
-            if profiler is not None:
-                t0 = time.perf_counter()
-                token = snapshot()
-                profiler.add_seconds("snapshot", time.perf_counter() - t0)
-            else:
-                token = snapshot()
+            token = snapshot()
             stats.snapshots += 1
             if label_credits is None:
                 old = deliver(access)
@@ -523,12 +492,7 @@ def check_scenario_incremental(
             left[index] = n_left
             if old is not _NO_CHANGE:
                 undo_status(access, old)
-            if profiler is not None:
-                t0 = time.perf_counter()
-                undo_to(token)
-                profiler.add_seconds("restore", time.perf_counter() - t0)
-            else:
-                undo_to(token)
+            undo_to(token)
             stats.restores += 1
             node.leaves += child.leaves
             if not child.violating:
@@ -562,3 +526,19 @@ def check_scenario_incremental(
     result.examples = [(order, list(violations))
                        for order, violations in root.examples]
     return result
+
+
+def _timed(op: Callable[..., Any], phase: str,
+           profiler: PhaseProfiler) -> Callable[..., Any]:
+    """*op*, adding the wall time of each call to *profiler*'s
+    *phase* (and counting the call)."""
+    clock = time.perf_counter
+    add_seconds = profiler.add_seconds
+
+    def timed(*args: Any) -> Any:
+        t0 = clock()
+        result = op(*args)
+        add_seconds(phase, clock() - t0)
+        return result
+
+    return timed

@@ -150,13 +150,19 @@ class ProtocolHarness:
     def bind_journal(self) -> UndoJournal:
         """The stack's shared undo journal, bound to the simulator, RAM
         and engine on first use (the first :meth:`snapshot` binds it
-        too).  Binding records nothing and opens no epoch."""
+        too).  Binding records nothing and opens no epoch.
+
+        Raises:
+            ConfigError: if the engine's span tracer is enabled (a
+                journaled engine records no spans); nothing is bound.
+        """
         journal = self.journal
         if journal is None:
-            journal = self.journal = UndoJournal()
+            journal = UndoJournal()
+            self.engine.bind_journal(journal)
             self.sim.bind_journal(journal)
             self.ram.bind_journal(journal)
-            self.engine.bind_journal(journal)
+            self.journal = journal
         return journal
 
     def snapshot(self) -> int:
@@ -168,31 +174,22 @@ class ProtocolHarness:
         snapshot after a reset binds one shared undo journal to the
         stack; from then on every mutation records its undo.
 
-        A snapshot opens the edge's journal epoch with one entry that
-        holds the state every delivery changes: the simulator's clock
-        and counters and the engine's scalar blob (its registers and the
-        protocol FSM's state).  It then stamps the simulator's and the
-        engine's epochs, so neither captures that state again inside
-        the epoch.  The engine is left unstamped while its span tracer
-        holds state, since the engine's own capture also records the
-        tracer.  An epoch opened by a bare ``journal.mark()`` or by an
-        undo finds both unstamped, and they capture for themselves.
+        The mark's one entry holds the state every delivery changes:
+        the simulator's clock and counters and the engine's scalar blob
+        (its registers and the protocol FSM's state).  Everything else
+        is captured where it is mutated (see :mod:`repro.sim.journal`).
+
+        Raises:
+            ConfigError: on the binding snapshot, as :meth:`bind_journal`.
         """
         journal = self.journal
         if journal is None:
             journal = self.bind_journal()
         sim = self.sim
         engine = self.engine
-        token = journal.mark_with(_restore_edge, (
+        return journal.mark(_restore_edge, (
             sim, sim.now, sim._seq, sim._events_fired,
             engine, engine._scalar_state()))
-        epoch = journal.epoch
-        sim._j_epoch = epoch
-        spans = engine.spans
-        # Idle exactly when SpanTracer.snapshot() returns None.
-        if not (spans.enabled or spans._open or spans._finished):
-            engine._j_epoch = epoch
-        return token
 
     def restore(self, token: int) -> None:
         """Undo every mutation made since :meth:`snapshot` returned
@@ -203,13 +200,9 @@ class ProtocolHarness:
         """Hashable capture of all behaviour-determining harness state.
 
         Returns None when the state cannot be captured cheaply and
-        soundly (RAM differs from its checking-start content, or engine
-        spans are on — a merged subtree would skip its span records),
-        which tells the transposition table to skip memoization for
-        this node.
+        soundly (RAM differs from its checking-start content), which
+        tells the transposition table to skip memoization for this node.
         """
-        if self.engine.spans.enabled:
-            return None
         if self.ram.outstanding_page_saves:
             # RAM content differs from its bind-time state, which the
             # fingerprint does not cover.
@@ -219,7 +212,7 @@ class ProtocolHarness:
 
 
 def _restore_edge(entry: tuple) -> None:
-    """Undo of the entry :meth:`ProtocolHarness.snapshot` opens an edge
+    """Undo of the entry :meth:`ProtocolHarness.snapshot` marks an edge
     with: the simulator's clock and counters, then the engine's scalar
     blob."""
     sim, now, seq, fired, engine, scalars = entry

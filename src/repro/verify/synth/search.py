@@ -33,6 +33,7 @@ two runs with one seed are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -406,6 +407,9 @@ def hunt_method(method: str, config: HuntConfig,
                                             [], "harness"))
     # (state label, candidate position, advanced), from each check's walk.
     credits: List[Tuple[str, int, bool]] = []
+    # Times one "check" per checked candidate and each "shrink".
+    phase = (profiler.phase if profiler is not None
+             else lambda name: contextlib.nullcontext())
 
     seen: Set[Tuple[int, ...]] = set()
     # DFS stack of partial streams (tuples of vocab indices); children
@@ -452,14 +456,7 @@ def hunt_method(method: str, config: HuntConfig,
                                         tag=str(report.candidates))
             stats = CheckStats()
             credits.clear()
-            if profiler is not None:
-                with profiler.phase("check"):
-                    result = check_scenario_incremental(
-                        scenario, max_examples=1,
-                        max_interleavings=config.max_interleavings,
-                        stats=stats, harness=harness,
-                        label_credits=credits)
-            else:
+            with phase("check"):
                 result = check_scenario_incremental(
                     scenario, max_examples=1,
                     max_interleavings=config.max_interleavings,
@@ -474,11 +471,7 @@ def hunt_method(method: str, config: HuntConfig,
                 report.counterexample = order
                 report.props = tuple(sorted({v.prop for v in violations}))
                 if config.shrink:
-                    if profiler is not None:
-                        with profiler.phase("shrink"):
-                            report.shrunk = shrink_counterexample(
-                                scenario, order)
-                    else:
+                    with phase("shrink"):
                         report.shrunk = shrink_counterexample(
                             scenario, order)
                 break

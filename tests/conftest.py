@@ -75,6 +75,19 @@ def drop_fingerprint_caches(harness) -> None:
         protocol._tables_fp = ()
 
 
+def mark_clock(journal, sim) -> int:
+    """Open a journal epoch the way the checker's harness does for a
+    bare simulator: the mark's entry holds the clock and counters,
+    which the simulator does not capture itself."""
+    return journal.mark(_restore_clock, (sim, sim.now, sim._seq,
+                                         sim._events_fired))
+
+
+def _restore_clock(entry) -> None:
+    sim, now, seq, fired = entry
+    sim.now, sim._seq, sim._events_fired = now, seq, fired
+
+
 @contextlib.contextmanager
 def assert_no_cyclic_garbage() -> Iterator[None]:
     """Assert that the body frees everything it drops by reference

@@ -1,7 +1,7 @@
 """Unit tests for the wall-clock phase profiler and its checker hook."""
 
 from repro.obs.profile import PhaseProfiler
-from repro.verify.adversary import fig8_scenario
+from repro.verify.adversary import builtin_scenarios, fig8_scenario
 from repro.verify.incremental import CheckStats, check_scenario_incremental
 from repro.verify.model_check import check_scenario
 
@@ -57,18 +57,23 @@ def test_table_renders():
 
 
 def test_checker_profiler_counts_match_stats():
-    scenario = fig8_scenario(1)
-    profiler = PhaseProfiler()
-    stats = CheckStats()
-    profiled = check_scenario_incremental(scenario, profiler=profiler,
-                                          stats=stats)
-    # The profiled result is identical to the unprofiled / naive ones.
-    assert profiled == check_scenario_incremental(scenario)
-    assert profiled == check_scenario(scenario)
-    # Phase counts mirror the CheckStats work accounting.
-    assert profiler.counts["snapshot"] == stats.snapshots
-    assert profiler.counts["restore"] == stats.restores
-    assert profiler.counts["deliver"] == stats.accesses_delivered
-    assert profiler.counts["transposition_hit"] == stats.transposition_hits
-    assert profiler.counts["expansion"] > 0
-    assert profiler.seconds["deliver"] > 0.0
+    """Phase counts mirror the CheckStats work accounting, on the DFS
+    (fig8 with one adversary) and on fast replay (fig6-repeated4)."""
+    fig6 = next(s for s in builtin_scenarios()
+                if s.name == "fig6-repeated4")
+    for scenario, dfs in ((fig8_scenario(1), True), (fig6, False)):
+        profiler = PhaseProfiler()
+        stats = CheckStats()
+        profiled = check_scenario_incremental(scenario, profiler=profiler,
+                                              stats=stats)
+        # The profiled result is identical to the unprofiled / naive ones.
+        assert profiled == check_scenario_incremental(scenario)
+        assert profiled == check_scenario(scenario)
+        assert stats.snapshots > 0
+        assert profiler.counts["snapshot"] == stats.snapshots
+        assert profiler.counts["restore"] == stats.restores
+        assert profiler.counts["deliver"] == stats.accesses_delivered
+        assert (profiler.counts.get("transposition_hit", 0)
+                == stats.transposition_hits)
+        assert ("expansion" in profiler.counts) == dfs
+        assert profiler.seconds["deliver"] > 0.0

@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: nesting, pairing, caps, snapshots."""
+"""Unit tests for the span tracer: nesting, pairing, caps."""
 
 import pytest
 
@@ -125,27 +125,6 @@ def test_attrs_set_on_begin_end_and_chain(tracer):
     span = tracer.begin("dma", pid=1).set(size=64)
     tracer.end(span, outcome="completed")
     assert span.attrs == {"pid": 1, "size": 64, "outcome": "completed"}
-
-
-def test_snapshot_restore_roundtrip(tracer, clock):
-    first = tracer.begin("kept")
-    tracer.end(first)
-    token = tracer.snapshot()
-    span = tracer.begin("discarded")
-    tracer.end(span)
-    tracer.restore(token)
-    assert [s.name for s in tracer.all_spans()] == ["kept"]
-    # Span ids continue from the restored counter, not the discarded one.
-    again = tracer.begin("again")
-    assert again.span_id == span.span_id
-    tracer.end(again)
-
-
-def test_snapshot_is_none_when_disabled_and_empty():
-    tracer = disabled_tracer()
-    assert tracer.snapshot() is None
-    tracer.restore(None)  # restoring the trivial token is a no-op
-    assert len(tracer) == 0
 
 
 def test_clear_resets_everything(tracer):

@@ -15,10 +15,9 @@ kind — deliver under a mark, undo, deliver something else:
 
 A cache kept past an undo is caught when an undo shortens a log and a
 different start grows it back to the same length.  The second walk
-opens its epochs both ways the journal allows: through ``snapshot()``,
-as the checker opens each edge (the edge's one entry holds the clock
-and the engine's scalars), and through a bare ``journal.mark()``, whose
-epoch the components capture for themselves.
+fills its epochs as the checker does: several deliveries under one
+edge (a forced tail), and more after an undo in the outer edge, which
+only that edge's entry (the clock and the engine's scalars) covers.
 """
 
 from __future__ import annotations
@@ -87,17 +86,13 @@ def test_cached_fingerprints_and_captured_blobs_stay_exact(method, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(method=st.sampled_from(sorted(METHODS)), spans=st.booleans(),
-       data=st.data())
-def test_caches_stay_exact_across_edge_and_bare_marks(method, spans, data):
-    """The same exactness with edges and bare marks nested, several
-    deliveries per epoch, and deliveries after an undo in the outer
-    epoch, with engine spans off and on (spans on, the harness offers
-    no fingerprint, so the engine's is compared)."""
+@given(method=st.sampled_from(sorted(METHODS)), data=st.data())
+def test_caches_stay_exact_across_nested_edges(method, data):
+    """The same exactness with edges nested, several deliveries per
+    epoch, and deliveries after an undo in the outer epoch."""
     streams = method_streams(method)
     harness = make_method_harness(method)
-    harness.engine.spans.enabled = spans
-    journal = harness.bind_journal()
+    harness.bind_journal()
     positions = [0] * len(streams)
     delivered: List[AccessSpec] = []
     marks: List[Tuple[int, int, List[int]]] = []
@@ -108,17 +103,16 @@ def test_caches_stay_exact_across_edge_and_bare_marks(method, spans, data):
         if not (live or marks):
             break
         step = data.draw(st.sampled_from(
-            (["edge", "bare", "deliver"] if live else [])
+            (["edge", "deliver"] if live else [])
             + (["undo"] if marks else [])))
         if step == "undo":
             token, depth, positions = marks.pop()
             harness.restore(token)
             del delivered[depth:]
         else:
-            if step != "deliver":
-                token = (harness.snapshot() if step == "edge"
-                         else journal.mark())
-                marks.append((token, len(delivered), list(positions)))
+            if step == "edge":
+                marks.append((harness.snapshot(), len(delivered),
+                              list(positions)))
             for _ in range(data.draw(st.integers(1, 3))):
                 live = [i for i, stream in enumerate(streams)
                         if positions[i] < len(stream)]
@@ -134,8 +128,6 @@ def test_caches_stay_exact_across_edge_and_bare_marks(method, spans, data):
         fresh = make_method_harness(method)
         for access in delivered:
             fresh.deliver(access)
-        assert harness.engine.fingerprint() == fresh.engine.fingerprint()
-        assert harness.fingerprint() == (None if spans
-                                         else fresh.fingerprint())
+        assert harness.fingerprint() == fresh.fingerprint()
         for blob, at_capture in blobs:
             assert blob == at_capture

@@ -7,8 +7,8 @@ rests on two facts tested here: a journaled harness delivers exactly
 what an unjournaled one does, and every observable bit of harness
 state — RAM bytes, simulator clock and event set, engine registers and
 tables, initiation records, protocol FSM scalars — returns exactly
-under restore, including arbitrarily nested snapshot stacks and with
-the span tracer recording.
+under restore, including arbitrarily nested snapshot stacks.  A
+journaled engine records no spans and cannot be reset: both refuse.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from tests.conftest import (
 )
 
 from repro.core.methods import METHODS, make_protocol
+from repro.errors import ConfigError
 from repro.verify.interleave import (
     AccessSpec,
     ProtocolHarness,
@@ -142,55 +143,41 @@ def test_journaled_matches_plain_random_walk(method, data):
     assert plain.journal is None
 
 
-def span_state(harness: ProtocolHarness) -> Tuple:
-    """The engine span tracer's observable state, as comparable values
-    (open spans by id: a harness never completes a transfer, so no
-    open span is ended)."""
-    spans = harness.engine.spans
-    return (spans._next_id,
-            [(s.span_id, s.parent_id, s.name, s.track, s.start, s.end)
-             for s in spans._finished],
-            sorted(spans._open), list(spans._stack), spans.dropped)
-
-
-def delivering_only(method: str, delivered: List[AccessSpec],
-                    spans: bool) -> ProtocolHarness:
+def delivering_only(method: str,
+                    delivered: List[AccessSpec]) -> ProtocolHarness:
     """A never-journaled harness that delivered *delivered*."""
     harness = make_method_harness(method)
-    harness.engine.spans.enabled = spans
     for access in delivered:
         harness.deliver(access)
     return harness
 
 
-#: Steps of the mixed-mark walk below.
-EDGE, BARE, DELIVER, UNDO = "edge", "bare", "deliver", "undo"
+#: Steps of the nested-edge walk below.
+EDGE, DELIVER, UNDO = "edge", "deliver", "undo"
 
 
 @settings(max_examples=60, deadline=None)
-@given(method=st.sampled_from(sorted(METHODS)), spans=st.booleans(),
-       data=st.data())
-def test_edge_marks_nest_with_bare_marks_in_lockstep(method, spans, data):
-    """Edges opened the checker's way stay exact among bare marks.
+@given(method=st.sampled_from(sorted(METHODS)), data=st.data())
+def test_edge_marks_nest_in_lockstep(method, data):
+    """Edges stay exact however their epochs are filled.
 
     ``snapshot()`` opens an edge with one entry holding the clock and
-    the engine's scalars, so the simulator's and the engine's own
-    captures stay silent in that epoch; a bare ``journal.mark()`` and
-    every undo leave them to capture for themselves.  The walk mixes
-    both kinds of mark, delivers up to three accesses in one epoch (a
-    forced tail), and after an undo delivers more in the outer epoch.
-    After every step the harness observes exactly what a
-    never-journaled harness fed the same accesses does (its cached
-    fingerprint equal to a cold one), span tracer included when spans
-    are on; after every undo, exactly what it observed at the mark.
+    the engine's scalars; neither the simulator nor the engine captures
+    them itself, so that entry alone must restore them.  The walk nests
+    edges, delivers up to three accesses in one epoch (a forced tail),
+    and after an undo delivers more in the outer epoch, which only the
+    outer edge's entry covers.  After every step the harness observes
+    exactly what a never-journaled harness fed the same accesses does
+    (its cached fingerprint equal to a cold one); after every undo,
+    exactly what it observed at the mark.
     """
     streams = method_streams(method)
-    harness = delivering_only(method, [], spans)
-    journal = harness.bind_journal()
-    plain = delivering_only(method, [], spans)
+    harness = delivering_only(method, [])
+    harness.bind_journal()
+    plain = delivering_only(method, [])
     positions = [0] * len(streams)
     delivered: List[AccessSpec] = []
-    marks: List[Tuple[int, Tuple, Tuple, int, List[int]]] = []
+    marks: List[Tuple[int, Tuple, int, List[int]]] = []
 
     def deliver_some(most: int) -> None:
         for _ in range(data.draw(st.integers(1, most))):
@@ -208,32 +195,27 @@ def test_edge_marks_nest_with_bare_marks_in_lockstep(method, spans, data):
         can_deliver = any(p < len(s) for p, s in zip(positions, streams))
         steps = [UNDO] if marks else []
         if can_deliver:
-            steps += [EDGE, BARE, DELIVER]
+            steps += [EDGE, DELIVER]
         if not steps:
             break
         step = data.draw(st.sampled_from(steps))
         if step == UNDO:
-            token, expected, expected_spans, depth, positions = marks.pop()
+            token, expected, depth, positions = marks.pop()
             harness.restore(token)
             assert observe(harness) == expected
-            assert span_state(harness) == expected_spans
             del delivered[depth:]
-            plain = delivering_only(method, delivered, spans)
+            plain = delivering_only(method, delivered)
         elif step == DELIVER:
             deliver_some(2)
         else:
-            at_mark = (observe(harness), span_state(harness),
-                       len(delivered), list(positions))
-            token = harness.snapshot() if step == EDGE else journal.mark()
-            marks.append((token,) + at_mark)
+            at_mark = (observe(harness), len(delivered), list(positions))
+            marks.append((harness.snapshot(),) + at_mark)
             deliver_some(3)
         assert observe(harness) == observe(plain)
-        assert span_state(harness) == span_state(plain)
     while marks:
-        token, expected, expected_spans, _, _ = marks.pop()
+        token, expected, _, _ = marks.pop()
         harness.restore(token)
         assert observe(harness) == expected
-        assert span_state(harness) == expected_spans
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,41 +251,52 @@ def test_nested_snapshot_stack_unwinds_exactly(method, data):
         assert observe(harness) == expected
 
 
+def span_state(harness: ProtocolHarness) -> Tuple:
+    """The engine span tracer's observable state, as comparable values."""
+    spans = harness.engine.spans
+    return (spans._next_id,
+            [(s.span_id, s.parent_id, s.name, s.track, s.start, s.end,
+              dict(s.attrs)) for s in spans.all_spans()],
+            list(spans._stack), spans.dropped)
+
+
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_spans_and_trace_survive_journal_restore(method):
-    """Observability state is part of the journal's restore contract.
+    """Undo never touches the span tracer.
 
-    With spans enabled, a deliver mutates the span tracer (open and
-    finished spans, id counter); undoing to a mark must put it back
-    exactly.
+    Spans recorded before the stack is journaled (here by an
+    unjournaled delivery with the tracer on) stay exactly as they were through
+    journaled deliveries and their restore: a journaled engine records
+    no spans, so the journal holds none to rewind.
     """
     harness = make_method_harness(method)
-    engine = harness.engine
-    engine.spans.enabled = True
-
-    def obs_state() -> Tuple:
-        spans = engine.spans
-        return (spans._next_id, list(spans._finished), dict(spans._open),
-                list(spans._stack), spans.dropped)
-
+    spans = harness.engine.spans
     order = method_streams(method)[0] + method_streams(method)[1]
-    harness.deliver(order[0])  # snapshot from a non-virgin state
-    before = obs_state()
+    spans.enabled = True
+    harness.deliver(order[0])
+    spans.enabled = False
+    recorded = span_state(harness)
+    assert recorded[1], "the unjournaled delivery recorded no span"
     token = harness.snapshot()
     for access in order[1:]:
         harness.deliver(access)
+    assert span_state(harness) == recorded
     harness.restore(token)
-    assert obs_state() == before
+    assert span_state(harness) == recorded
 
 
-def test_fingerprint_skips_memoization_while_engine_spans_are_on():
-    """A merged subtree would skip its span records, so a harness whose
-    engine records spans reports no fingerprint (no memoization)."""
+def test_first_snapshot_refuses_an_enabled_engine_tracer():
+    """Undo cannot rewind spans, so a harness whose engine records them
+    refuses to journal: the first snapshot raises and binds nothing."""
     harness = make_method_harness("keyed")
-    harness.deliver(method_streams("keyed")[0][0])
-    assert harness.fingerprint() is not None
     harness.engine.spans.enabled = True
-    assert harness.fingerprint() is None
+    with pytest.raises(ConfigError, match="records no spans"):
+        harness.snapshot()
+    assert harness.journal is None
+    assert harness.sim._journal is None
+    assert harness.ram._undo is None
+    assert harness.engine._undo is None
+    assert harness.engine.transfer_engine._undo is None
 
 
 def test_journal_binds_on_first_snapshot_not_on_replay():
@@ -328,18 +321,25 @@ def test_journal_binds_on_first_snapshot_not_on_replay():
     assert harness.journal is None
 
 
-@pytest.mark.parametrize("kernel_op", [
-    lambda engine: engine.assign_context(0, 99),
-    lambda engine: engine.release_context(0),
-    lambda engine: engine.reset(),
-], ids=["assign_context", "release_context", "reset"])
+def kernel_state(engine) -> Tuple:
+    """What a power-on reset clears: the register contexts, the key
+    table, the initiation records, and the count of dropped records."""
+    return (tuple(context.snapshot() for context in engine.contexts),
+            dict(engine.key_table), list(engine.initiations),
+            engine.initiations_dropped)
+
+
+@pytest.mark.parametrize("kernel_op",
+                         ["assign_context", "release_context", "reset"])
 def test_restore_undoes_kernel_context_management(kernel_op):
     """The kernel's context management is journaled like an access.
 
     A checker scenario may reassign a register context between two of
     a victim's accesses, so restore must bring back the context the
     kernel scrubbed: its owner and its latched arguments, and the
-    cached fingerprint must drop with it.
+    cached fingerprint must drop with it.  A power-on reset is not
+    journaled (a harness resets by building a new stack), so a
+    journaled engine refuses it and keeps every table and record.
     """
     harness = make_method_harness("keyed")
     engine = harness.engine
@@ -349,7 +349,21 @@ def test_restore_undoes_kernel_context_management(kernel_op):
     before = tuple(context.snapshot() for context in engine.contexts)
     assert before[0][:4] == (SRC_1, DST_1, SIZE, 1)
     token = harness.snapshot()
-    kernel_op(engine)
+    if kernel_op == "reset":
+        harness.deliver(method_streams("keyed")[0][3])  # the start
+        started = kernel_state(engine)
+        assert started[1] == {0: KEY_1, 1: KEY_2}
+        assert (len(started[2]), started[3]) == (1, 0)
+        with pytest.raises(ConfigError, match="cannot be reset"):
+            engine.reset()
+        assert kernel_state(engine) == started
+        harness.restore(token)
+        assert tuple(c.snapshot() for c in engine.contexts) == before
+        return
+    if kernel_op == "assign_context":
+        engine.assign_context(0, 99)
+    else:
+        engine.release_context(0)
     harness.fingerprint()  # cache the scrubbed contexts
     harness.restore(token)
     assert tuple(context.snapshot() for context in engine.contexts) == before

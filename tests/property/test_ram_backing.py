@@ -53,6 +53,10 @@ def _offset(where, size, nbytes=0):
     return min(base + offset, size - nbytes)
 
 
+def _nothing(_: object) -> None:
+    """Undo of a mark entry that captured nothing."""
+
+
 def _apply(ram, model, journal, marks, op):
     kind = op[0]
     size = ram.size
@@ -85,7 +89,9 @@ def _apply(ram, model, journal, marks, op):
         ram.write_word(paddr, op[2])
         model[paddr:paddr + 8] = op[2].to_bytes(8, "little")
     elif kind == "mark":
-        marks.append((journal.mark(), bytes(model)))
+        # RAM captures its pages where they are written; the mark's own
+        # entry has nothing to restore.
+        marks.append((journal.mark(_nothing, None), bytes(model)))
     elif kind == "undo" and marks:
         token, saved = marks.pop()
         journal.undo_to(token)

@@ -5,6 +5,8 @@ import bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import mark_clock
+
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PAGE_SIZE
 from repro.hw.writebuffer import WriteBuffer
@@ -184,8 +186,8 @@ def test_simulator_journal_undo_matches_model(ops):
     marks = []
     for index, op in enumerate(ops):
         if op[0] == "mark":
-            marks.append((journal.mark(), model.snapshot(), len(fired),
-                          _observed(sim)))
+            marks.append((mark_clock(journal, sim), model.snapshot(),
+                          len(fired), _observed(sim)))
         elif op[0] == "undo":
             if marks:
                 token, saved, n_fired, seen = marks.pop()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.conftest import mark_clock
+
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.journal import UndoJournal
@@ -181,7 +183,7 @@ def test_journal_mark_undo_roundtrip():
     fired = []
     sim.schedule(10, lambda: fired.append("a"))
     sim.advance(5)
-    mark = journal.mark()
+    mark = mark_clock(journal, sim)
     sim.schedule(30, lambda: fired.append("b"))
     sim.run()
     assert fired == ["a", "b"]
@@ -197,9 +199,9 @@ def test_journal_nested_marks_undo_in_stack_order():
     journal = UndoJournal()
     sim.bind_journal(journal)
     sim.advance(1)
-    outer = journal.mark()
+    outer = mark_clock(journal, sim)
     sim.advance(10)
-    inner = journal.mark()
+    inner = mark_clock(journal, sim)
     sim.schedule(100, lambda: None)
     sim.advance(5)
     journal.undo_to(inner)
@@ -216,7 +218,7 @@ def test_journal_undo_restores_a_far_event_fired_after_the_mark():
     sim.bind_journal(journal)
     fired = []
     sim.call_at(FAR + 5, lambda: fired.append("far"))
-    mark = journal.mark()
+    mark = mark_clock(journal, sim)
     sim.advance(FAR + 10)
     sim.schedule(1, lambda: fired.append("next"))
     sim.run()

@@ -32,14 +32,12 @@ from repro.verify.synth.search import (
 
 #: Check options each variant runs the harvest under; the profiler one
 #: is built per check.
-VARIANTS = ("plain", "profiler", "no-transposition")
+VARIANTS = ("plain", "profiler")
 
 
 def options(variant):
     if variant == "profiler":
         return {"profiler": PhaseProfiler()}
-    if variant == "no-transposition":
-        return {"use_transposition": False}
     return {}
 
 
