@@ -66,7 +66,7 @@ class RegisterContext:
 
     def snapshot(self) -> tuple:
         """Capture all mutable fields (the transfer ref is captured as-is;
-        its own ``completed`` flag is the transfer engine's to restore)."""
+        its ``completed`` flag never changes under the checker's journal)."""
         return (self.src, self.dst, self.size, self.owner_pid,
                 self.transfer, self.failed, self.initiations)
 

@@ -149,14 +149,13 @@ class DmaEngine(MmioDevice):
         # Fingerprint caches, valid only because every mutation site
         # either keys them on a length (append/truncate-only lists) or
         # invalidates them explicitly (table writes, context captures,
-        # undo callbacks, transfer-completion flips).  The contexts'
-        # part is kept per context: a capture or undo drops only the
-        # context it touched (None marks a stale slot).
+        # undo callbacks).  The contexts' part is kept per context: a
+        # capture or undo drops only the context it touched (None marks
+        # a stale slot).
         self._init_fp: tuple = ()
         self._tables_fp: Optional[tuple] = None
         self._ctx_fps: List[Optional[tuple]] = [None] * len(self.contexts)
         self._ctx_fp: Optional[tuple] = None
-        self._ctx_fp_flips = 0
         self.protocol = protocol
         protocol.attach(self)
 
@@ -178,12 +177,11 @@ class DmaEngine(MmioDevice):
 
         Raises:
             ConfigError: if the engine's span tracer (which the transfer
-                engine shares) is enabled: undo does not rewind spans.
+                engine shares) is enabled, or where it would record if
+                enabled later: undo does not rewind spans.
         """
         if journal is not None and self.spans.enabled:
-            raise ConfigError(
-                f"{self.name}: a journaled engine records no spans; "
-                "disable its span tracer first")
+            raise self._journaled_spans()
         self._undo = journal
         self._ctx_epochs = [0] * len(self.contexts)
         self._init_fp = ()
@@ -191,6 +189,10 @@ class DmaEngine(MmioDevice):
         self._ctx_fp = None
         self._ctx_fps = [None] * len(self.contexts)
         self.transfer_engine.bind_journal(journal)
+
+    def _journaled_spans(self) -> ConfigError:
+        return ConfigError(f"{self.name}: a journaled engine records no "
+                           "spans; disable its span tracer first")
 
     def _scalar_state(self) -> tuple:
         """The protocol FSM blob and the scalar engine state, captured
@@ -412,6 +414,8 @@ class DmaEngine(MmioDevice):
         at begin time; callers add ``state_to`` when ending the span, so
         every span shows the FSM transition the access caused.
         """
+        if self._undo is not None:
+            raise self._journaled_spans()
         track = f"proc{issuer}" if issuer is not None else self.name
         return self.spans.begin(
             name, track=track, protocol=self.protocol.name,
@@ -431,6 +435,10 @@ class DmaEngine(MmioDevice):
         start time) on success, ``STATUS_FAILURE`` otherwise.
         """
         journal = self._undo
+        if journal is not None:
+            if self.spans.enabled:
+                raise self._journaled_spans()
+            journal.record_append(self.initiations)
         via_name = via if via is not None else self.protocol.name
         ok = (size > 0
               and self._valid_source(psrc, size)
@@ -440,8 +448,6 @@ class DmaEngine(MmioDevice):
                     or page_base(pdst) != page_base(pdst + size - 1)):
                 self.oversize_rejections += 1
                 ok = False
-        if journal is not None:
-            journal.record_append(self.initiations)
         if len(self._init_fp) > len(self.initiations):
             # An undo truncated the records below the cached prefix; the
             # new record replaces a cached slot, so cut the cache first.
@@ -629,9 +635,10 @@ class DmaEngine(MmioDevice):
     def fingerprint(self) -> tuple:
         """Hashable capture of all behaviour-determining engine state.
 
-        Two engine states with equal fingerprints (plus equal simulator,
-        RAM, and delivered-access positions) behave identically on every
-        future access — the transposition table's merging criterion.
+        Two engine states with equal fingerprints (plus an equal clock
+        and equal delivered-access positions) behave identically on
+        every future access — the transposition table's merging
+        criterion.
         """
         control_transfer = self._control_transfer
         control_value = (None if control_transfer is None else
@@ -661,8 +668,7 @@ class DmaEngine(MmioDevice):
             contexts = tuple(c.fingerprint() for c in self.contexts)
         else:
             contexts = self._ctx_fp
-            if (contexts is None
-                    or self._ctx_fp_flips != self.transfer_engine.flips):
+            if contexts is None:
                 contexts = self._ctx_fp = self._contexts_fingerprint()
         return (
             contexts,
@@ -682,19 +688,12 @@ class DmaEngine(MmioDevice):
         """Rebuild the contexts' part of :meth:`fingerprint`.
 
         Only the contexts captured or undone since the last build are
-        recomputed.  A context's value includes its transfer's
-        ``completed`` flag, which the transfer engine flips without a
-        context capture, so after a flip every context is.
+        recomputed.
         """
         fps = self._ctx_fps
-        flips = self.transfer_engine.flips
-        if self._ctx_fp_flips != flips:
-            self._ctx_fp_flips = flips
-            fps[:] = [c.fingerprint() for c in self.contexts]
-        else:
-            for ctx_id, fp in enumerate(fps):
-                if fp is None:
-                    fps[ctx_id] = self.contexts[ctx_id].fingerprint()
+        for ctx_id, fp in enumerate(fps):
+            if fp is None:
+                fps[ctx_id] = self.contexts[ctx_id].fingerprint()
         return tuple(fps)
 
     def reset(self) -> None:

@@ -121,13 +121,8 @@ class DmaTransferEngine:
         self._j_epoch = 0
         # Prefix cache of fingerprint(): value tuples of history[:len].
         # History is append/truncate-only, so the cache keys on length;
-        # completion-flag flips invalidate it explicitly.
+        # a completion (which sets a ``completed`` flag) drops it.
         self._fp_hist: Tuple[tuple, ...] = ()
-        #: Count of ``completed`` flag changes, completions and their
-        #: undos alike.  Never restored by undo, so a cache built from
-        #: transfer values (the owning engine's context fingerprint)
-        #: can tell whether a flag changed since it was built.
-        self.flips = 0
         # The queued completion event names this engine weakly: the
         # engine holds the simulator, so a strong reference would keep a
         # dropped machine or checker harness alive until the cyclic
@@ -138,25 +133,21 @@ class DmaTransferEngine:
         self._per_size: Dict[int, Tuple[Time, str]] = {}
 
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
-        """Attach (or detach, with None) a shared undo journal."""
+        """Attach (or detach, with None) a shared undo journal.  Only a
+        start is undone: no completion runs under a journal."""
         self._undo = journal
         self._j_epoch = 0
         self._fp_hist = ()
 
     def _j_scalars(self, journal: UndoJournal) -> None:
-        """Capture the counter blob for this journal epoch (callers test
-        the epoch first)."""
+        """Capture what a start changes besides the history, once per
+        journal epoch (callers test the epoch first)."""
         self._j_epoch = journal.epoch
-        journal.record_call(self._restore_scalars, (
-            self.transfers_started, self.bytes_moved, self.last_via))
+        journal.record_call(self._restore_scalars,
+                            (self.transfers_started, self.last_via))
 
     def _restore_scalars(self, blob: tuple) -> None:
-        self.transfers_started, self.bytes_moved, self.last_via = blob
-
-    def _uncomplete(self, transfer: "Transfer") -> None:
-        transfer.completed = False
-        self._fp_hist = ()
-        self.flips += 1
+        self.transfers_started, self.last_via = blob
 
     def drop_records(self) -> None:
         """Forget the transfer history (see
@@ -229,16 +220,10 @@ class DmaTransferEngine:
             engine = engine_ref()
             if engine is None:
                 return
-            journal = engine._undo
-            if journal is not None:
-                if engine._j_epoch != journal.epoch:
-                    engine._j_scalars(journal)
-                journal.record_call(engine._uncomplete, transfer)
             engine._mover(psrc, pdst, size)
             transfer.completed = True
             engine.bytes_moved += size
             engine._fp_hist = ()
-            engine.flips += 1
             # A duplicated completion re-runs the mover; the span must
             # close exactly once.
             if span is not None and not span.closed:
@@ -260,8 +245,8 @@ class DmaTransferEngine:
         """Hashable value capture of every transfer plus the counters.
 
         The per-transfer value tuples are cached as a prefix keyed on the
-        history length (history only ever appends or truncates); sites
-        that flip a ``completed`` flag drop the cache.
+        history length (history only ever appends or truncates); a
+        completion, which sets a ``completed`` flag, drops the cache.
         """
         cached = self._fp_hist
         n = len(self.history)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import mmap
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Union
 
 from ..errors import AddressError, MemoryError_
-from ..sim.journal import UndoJournal
-from .pagetable import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
+from .pagetable import PAGE_MASK, PAGE_SIZE
 
 #: Width of a machine word (Alpha: 64-bit).
 WORD_BYTES = 8
@@ -77,16 +76,6 @@ class PhysicalMemory:
         self._data: Union[bytearray, mmap.mmap] = (
             mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
             if size >= LAZY_ZERO_MIN_BYTES else bytearray(size))
-        # Shared undo journal (page-granular copy-on-write): None when
-        # unbound, the default — one branch per mutation.
-        self._undo: Optional[UndoJournal] = None
-        self._page_epochs: Dict[int, int] = {}
-        #: Page saves recorded but not yet undone.  While non-zero the
-        #: RAM content is not derivable from the harness fingerprint, so
-        #: the checker must skip memoization.
-        self.outstanding_page_saves = 0
-        #: Cumulative dirty pages copied since the journal was bound.
-        self.dirty_pages_saved = 0
 
     # -- range helpers --------------------------------------------------------
 
@@ -115,8 +104,6 @@ class PhysicalMemory:
         end = paddr + len(data)
         if paddr < 0 or end > self.size:
             self._check_range(paddr, len(data), "write")
-        if self._undo is not None:
-            self._journal_range(paddr, len(data))
         self._data[paddr:end] = data
 
     def fill(self, paddr: int, nbytes: int, value: int = 0) -> None:
@@ -124,7 +111,6 @@ class PhysicalMemory:
         if not 0 <= value <= 0xFF:
             raise ValueError(f"fill value must be a byte, got {value}")
         self._check_range(paddr, nbytes, "fill")
-        self._journal_range(paddr, nbytes)
         self._data[paddr:paddr + nbytes] = bytes([value]) * nbytes
 
     def copy(self, psrc: int, pdst: int, nbytes: int) -> None:
@@ -134,49 +120,7 @@ class PhysicalMemory:
         """
         self._check_range(psrc, nbytes, "copy-src")
         self._check_range(pdst, nbytes, "copy-dst")
-        self._journal_range(pdst, nbytes)
         self._data[pdst:pdst + nbytes] = self._data[psrc:psrc + nbytes]
-
-    # -- undo journal ---------------------------------------------------------
-
-    def bind_journal(self, journal: Optional[UndoJournal]) -> None:
-        """Attach (or detach, with None) a shared undo journal.
-
-        While bound, mutations copy each dirty page once per journal
-        epoch (page-granular copy-on-write): the first write to a page
-        after a journal mark or undo saves the whole 8 KiB page into
-        the journal, and further writes to it in the same epoch are
-        free.  Restore is ``journal.undo_to(mark)``.
-        """
-        self._undo = journal
-        self._page_epochs = {}
-        self.outstanding_page_saves = 0
-        self.dirty_pages_saved = 0
-
-    def _journal_range(self, paddr: int, nbytes: int) -> None:
-        """Save every page overlapping the range about to be overwritten,
-        once per journal epoch (no-op while no journal is bound)."""
-        journal = self._undo
-        if journal is None or nbytes <= 0:
-            return
-        epoch = journal.epoch
-        epochs = self._page_epochs
-        data = self._data
-        last = (paddr + nbytes - 1) >> PAGE_SHIFT
-        for page in range(paddr >> PAGE_SHIFT, last + 1):
-            if epochs.get(page) == epoch:
-                continue
-            epochs[page] = epoch
-            base = page << PAGE_SHIFT
-            journal.record_call(
-                self._restore_page, (base, bytes(data[base:base + PAGE_SIZE])))
-            self.outstanding_page_saves += 1
-            self.dirty_pages_saved += 1
-
-    def _restore_page(self, saved: Tuple[int, bytes]) -> None:
-        base, old = saved
-        self._data[base:base + PAGE_SIZE] = old
-        self.outstanding_page_saves -= 1
 
     # -- word access --------------------------------------------------------------
 

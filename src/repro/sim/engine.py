@@ -36,7 +36,8 @@ Two styles of progress coexist:
 
 The incremental model checker backtracks through
 :meth:`Simulator.bind_journal`, which switches the simulator to
-O(changes) undo journaling (see :mod:`repro.sim.journal`).
+O(changes) undo journaling (see :mod:`repro.sim.journal`); a
+journaled simulator fires no event.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ class Simulator:
         self._seq = 0
         self._events_fired = 0
         self._queue: List[_Entry] = []
-        # -- live_event_signature cache: dropped on any queue change --
-        self._sig: Optional[Tuple[Tuple[Time, str], ...]] = None
         # -- undo journal --
         self._journal: Optional[UndoJournal] = None
 
@@ -74,11 +73,18 @@ class Simulator:
     def bind_journal(self, journal: Optional[UndoJournal]) -> None:
         """Attach (or detach, with None) a shared undo journal.
 
-        While bound, each push and each pop records one entry, so
+        While bound, each push records one entry, so
         ``journal.undo_to(mark)`` returns the queue to its state at the
-        mark at O(changes) cost.  The clock and counters are captured by
-        whoever marks (:meth:`~repro.verify.interleave.ProtocolHarness.
+        mark at O(changes) cost.  The clock and push counter are captured
+        by whoever marks (:meth:`~repro.verify.interleave.ProtocolHarness.
         snapshot` puts them in the mark's entry), not here.
+
+        A bound simulator fires nothing (:meth:`step` raises), so nothing
+        only an event changes (RAM, a transfer's ``completed`` flag)
+        needs an undo.  The checker models initiation, which accesses
+        reach the DMA engine and which starts they trigger, at 1 ps per
+        delivery; a completion lies at least the engine's 200 ns startup
+        past its start, far beyond any check's clock.
         """
         self._journal = journal
 
@@ -87,12 +93,6 @@ class Simulator:
         queue = self._queue
         queue.remove(entry)
         heapify(queue)
-        self._sig = None
-
-    def _j_unpop(self, entry: _Entry) -> None:
-        """Undo of a pop: put *entry* back."""
-        heappush(self._queue, entry)
-        self._sig = None
 
     # -- scheduling ---------------------------------------------------------
 
@@ -123,7 +123,6 @@ class Simulator:
         if journal is not None:
             journal.record_call(self._j_unpush, entry)
         heappush(self._queue, entry)
-        self._sig = None
 
     # -- synchronous time ---------------------------------------------------
 
@@ -138,7 +137,7 @@ class Simulator:
             The new current time.
 
         Raises:
-            SimulationError: if *delta* is negative.
+            SimulationError: if *delta* is negative, or as :meth:`step`.
         """
         if delta < 0:
             raise SimulationError(f"cannot advance by negative time: {delta}")
@@ -156,15 +155,21 @@ class Simulator:
 
         Returns:
             True if an event fired, False if the queue was empty.
+
+        Raises:
+            SimulationError: if a journal is bound.  The event stays
+                queued and the clock stays put, so a refused
+                :meth:`advance`, :meth:`run` or :meth:`wait_for` changes
+                nothing either.
         """
         queue = self._queue
         if not queue:
             return False
+        if self._journal is not None:
+            raise SimulationError(
+                f"a journaled simulator fires no events: {queue[0][3]!r} "
+                f"is due at {queue[0][0]} (now={self.now})")
         entry = heappop(queue)
-        journal = self._journal
-        if journal is not None:
-            journal.record_call(self._j_unpop, entry)
-        self._sig = None
         self.now = entry[0]
         self._events_fired += 1
         entry[2]()
@@ -239,16 +244,3 @@ class Simulator:
         by synthetic clocks in tests.
         """
         return lambda: self.now
-
-    def live_event_signature(self) -> Tuple[Tuple[Time, str], ...]:
-        """(when, label) of every queued event, sorted.
-
-        Cached between queue mutations: the checker fingerprints the
-        simulator once per tree node but the queue changes far less
-        often.  A recomputation costs O(queued events).
-        """
-        sig = self._sig
-        if sig is None:
-            sig = tuple(sorted([(e[0], e[3]) for e in self._queue]))
-            self._sig = sig
-        return sig

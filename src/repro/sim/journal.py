@@ -23,12 +23,12 @@ every edge changes; everything else is captured where it is mutated.**
   mark: a capture callback kept on the journal would hold the harness,
   which holds the journal.
 * **Where mutated.**  State that changes rarely (key-table writes,
-  initiation-record appends, heap pushes and pops) records one entry
-  per mutation, at zero cost when the mutation never happens.  Small
-  blobs that only some edges change (a register context, a RAM page,
-  the transfer engine's counters) are captured once per epoch: the
-  first mutation after each :meth:`mark`/:meth:`undo_to` captures the
-  whole blob, and later mutations inside the same epoch are free.  The
+  initiation-record appends, heap pushes) records one entry per
+  mutation, at zero cost when the mutation never happens.  Small blobs
+  that only some edges change (a register context, the transfer
+  engine's counters) are captured once per epoch: the first mutation
+  after each :meth:`mark`/:meth:`undo_to` captures the whole blob, and
+  later mutations inside the same epoch are free.  The
   :attr:`epoch` counter increments on every mark *and* every undo, so a
   component comparing its stamped epoch against the journal's knows
   whether the current blob is already safely captured.  A blob holds
@@ -43,12 +43,11 @@ the oldest capture since a mark is replayed last and wins.
 
 Components opt in through ``bind_journal(journal)`` and must keep
 working when no journal is bound (``None`` — the default everywhere
-outside the checker, costing one branch per mutation site).  A
-component that caches a value derived from journaled state must drop
-the cache wherever that state changes, undo callbacks included: the
-DMA engine's cached context fingerprint drops on every context capture,
-on every context undo, and when a transfer's ``completed`` flag flips
-(``DmaTransferEngine.flips``).
+outside the checker, costing one branch per mutation site).  No event
+fires under a journal, so no firing is undone.  A component that caches
+a value derived from journaled state must drop the cache wherever that
+state changes, undo callbacks included: the DMA engine's cached context
+fingerprint drops on every context capture and on every context undo.
 """
 
 from __future__ import annotations

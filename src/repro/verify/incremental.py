@@ -6,7 +6,7 @@ accesses, and every order pays a full harness reset.  But interleavings
 share prefixes massively — the orders of a scenario form a tree whose
 leaves are the interleavings and whose edges are single access
 deliveries.  This module walks that tree depth-first, snapshotting the
-harness (simulator + RAM + engine + protocol FSM) before each delivery
+harness (simulator + engine + protocol FSM) before each delivery
 and restoring the parent state on backtrack, so each access is delivered
 **once per tree edge**: O(tree edges) accesses and zero resets.
 
@@ -104,8 +104,8 @@ class CheckStats:
         transposition_entries: distinct states stored in the table.
         journal_entries_replayed: undo-journal entries replayed across
             all of this check's restores.
-        dirty_pages: RAM pages this check copied through the
-            page-granular CoW layer.
+        dirty_pages: always 0 (no completion fires under the journal,
+            so the checker never writes RAM); benchmark outputs keep it.
         batched_deliveries: accesses delivered inside forced-tail
             batches (a single live stream leaves no choice points, so
             the whole tail shares one snapshot/restore pair).
@@ -200,7 +200,7 @@ def check_scenario_incremental(
             ``page_bounded``, and sit at its root mark (every delivery
             undone).  The check leaves it there, so one harness serves
             every check of a method; the ``journal_entries_replayed``
-            and ``dirty_pages`` counters are this check's own.
+            counter is this check's own.
         label_credits: optional list to extend, in walk order, with one
             ``(label, k, advanced)`` entry per split ``s`` of the first
             stream and access ``k`` of the second (two streams only):
@@ -243,7 +243,6 @@ def check_scenario_incremental(
     undo_to = journal.undo_to
     deliver_access = harness.deliver
     replayed_before = journal.entries_replayed
-    dirty_before = harness.ram.dirty_pages_saved
     # Accesses left per stream: a stream's next access is at
     # lengths[i] - left[i], and a node whose remaining total equals one
     # stream's count has a forced tail.
@@ -261,7 +260,6 @@ def check_scenario_incremental(
     def finish_stats() -> None:
         stats.journal_entries_replayed = (journal.entries_replayed
                                           - replayed_before)
-        stats.dirty_pages = harness.ram.dirty_pages_saved - dirty_before
 
     def deliver(access: AccessSpec) -> Any:
         """Deliver one access; returns the final_status undo token."""
@@ -452,26 +450,21 @@ def check_scenario_incremental(
     def dfs(remaining: int) -> _Subtree:
         # A node with one live stream left is a forced tail, so only an
         # empty scenario's root has nothing left to deliver (see below).
-        key = None
-        fingerprint = fingerprint_of()
-        if fingerprint is not None:
-            statuses = status_key[0]
-            if statuses is None:
-                statuses = status_key[0] = tuple(
-                    sorted(final_status.items()))
-            key = (tuple(left), statuses, fingerprint)
-            hit = memo.get(key)
-            if hit is not None:
-                stats.transposition_hits += 1
-                if profiler is not None:
-                    profiler.count("transposition_hit")
-                if tick is not None:
-                    tick(hit.leaves)
-                return hit
+        statuses = status_key[0]
+        if statuses is None:
+            statuses = status_key[0] = tuple(sorted(final_status.items()))
+        key = (tuple(left), statuses, fingerprint_of())
+        hit = memo.get(key)
+        if hit is not None:
+            stats.transposition_hits += 1
+            if profiler is not None:
+                profiler.count("transposition_hit")
+            if tick is not None:
+                tick(hit.leaves)
+            return hit
         if remaining in left:
             node = forced_tail(left.index(remaining), remaining)
-            if key is not None:
-                memo[key] = node
+            memo[key] = node
             return node
         node = _Subtree()
         if profiler is not None:
@@ -505,8 +498,7 @@ def check_scenario_incremental(
                     if len(node.examples) >= max_examples:
                         break
                     node.examples.append(((access,) + suffix, violations))
-        if key is not None:
-            memo[key] = node
+        memo[key] = node
         return node
 
     root = dfs(total_length) if total_length else leaf()

@@ -148,9 +148,11 @@ class ProtocolHarness:
     # -- snapshot/restore --------------------------------------------------
 
     def bind_journal(self) -> UndoJournal:
-        """The stack's shared undo journal, bound to the simulator, RAM
-        and engine on first use (the first :meth:`snapshot` binds it
-        too).  Binding records nothing and opens no epoch.
+        """The stack's shared undo journal, bound to the simulator and
+        the engine on first use (the first :meth:`snapshot` binds it
+        too).  Binding records nothing and opens no epoch.  RAM needs
+        no journal: its only writer is the data mover, which runs only
+        from a completion event, and a journaled simulator fires none.
 
         Raises:
             ConfigError: if the engine's span tracer is enabled (a
@@ -161,12 +163,11 @@ class ProtocolHarness:
             journal = UndoJournal()
             self.engine.bind_journal(journal)
             self.sim.bind_journal(journal)
-            self.ram.bind_journal(journal)
             self.journal = journal
         return journal
 
     def snapshot(self) -> int:
-        """Mark the whole component stack (sim, RAM, engine, protocol).
+        """Mark the whole component stack (sim, engine, protocol).
 
         The incremental checker snapshots before each delivery and
         restores on backtrack, so each access is delivered once per tree
@@ -175,7 +176,7 @@ class ProtocolHarness:
         stack; from then on every mutation records its undo.
 
         The mark's one entry holds the state every delivery changes:
-        the simulator's clock and counters and the engine's scalar blob
+        the simulator's clock and push counter and the engine's scalars
         (its registers and the protocol FSM's state).  Everything else
         is captured where it is mutated (see :mod:`repro.sim.journal`).
 
@@ -188,35 +189,31 @@ class ProtocolHarness:
         sim = self.sim
         engine = self.engine
         return journal.mark(_restore_edge, (
-            sim, sim.now, sim._seq, sim._events_fired,
-            engine, engine._scalar_state()))
+            sim, sim.now, sim._seq, engine, engine._scalar_state()))
 
     def restore(self, token: int) -> None:
         """Undo every mutation made since :meth:`snapshot` returned
         *token*."""
         self.journal.undo_to(token)
 
-    def fingerprint(self) -> Optional[tuple]:
+    def fingerprint(self) -> tuple:
         """Hashable capture of all behaviour-determining harness state.
 
-        Returns None when the state cannot be captured cheaply and
-        soundly (RAM differs from its checking-start content), which
-        tells the transposition table to skip memoization for this node.
+        RAM and the event queue need no part: nothing fires under the
+        journal, so RAM keeps its bind-time bytes and the queue holds
+        one ``(started_at + duration, "dma-complete[<size>B]")`` per
+        started transfer (no fault hook is installed), all named by the
+        engine's transfer history.
         """
-        if self.ram.outstanding_page_saves:
-            # RAM content differs from its bind-time state, which the
-            # fingerprint does not cover.
-            return None
-        return (self.sim.now, self.sim.live_event_signature(),
-                self.engine.fingerprint())
+        return (self.sim.now, self.engine.fingerprint())
 
 
 def _restore_edge(entry: tuple) -> None:
     """Undo of the entry :meth:`ProtocolHarness.snapshot` marks an edge
-    with: the simulator's clock and counters, then the engine's scalar
-    blob."""
-    sim, now, seq, fired, engine, scalars = entry
-    sim.now, sim._seq, sim._events_fired = now, seq, fired
+    with: the simulator's clock and push counter, then the engine's
+    scalar blob."""
+    sim, now, seq, engine, scalars = entry
+    sim.now, sim._seq = now, seq
     engine._restore_scalar_state(scalars)
 
 

@@ -67,7 +67,6 @@ def drop_fingerprint_caches(harness) -> None:
     engine._tables_fp = None
     engine._init_fp = ()
     engine.transfer_engine._fp_hist = ()
-    harness.sim._sig = None
     protocol = harness.protocol
     if hasattr(protocol, "_completed_fp"):
         protocol._completed_fp = ()
@@ -77,15 +76,15 @@ def drop_fingerprint_caches(harness) -> None:
 
 def mark_clock(journal, sim) -> int:
     """Open a journal epoch the way the checker's harness does for a
-    bare simulator: the mark's entry holds the clock and counters,
-    which the simulator does not capture itself."""
-    return journal.mark(_restore_clock, (sim, sim.now, sim._seq,
-                                         sim._events_fired))
+    bare simulator: the mark's entry holds the clock and the push
+    counter, which the simulator does not capture itself (nothing
+    fires under a journal, so the fired count cannot move)."""
+    return journal.mark(_restore_clock, (sim, sim.now, sim._seq))
 
 
 def _restore_clock(entry) -> None:
-    sim, now, seq, fired = entry
-    sim.now, sim._seq, sim._events_fired = now, seq, fired
+    sim, now, seq = entry
+    sim.now, sim._seq = now, seq
 
 
 @contextlib.contextmanager

@@ -77,10 +77,7 @@ def test_cached_fingerprints_and_captured_blobs_stay_exact(method, data):
             del delivered[depth:]
         else:
             break
-        fingerprint = harness.fingerprint()
-        expected = fresh_fingerprint(method, delivered)
-        if fingerprint is not None and expected is not None:
-            assert fingerprint == expected
+        assert harness.fingerprint() == fresh_fingerprint(method, delivered)
         for blob, at_capture in blobs:
             assert blob == at_capture
 

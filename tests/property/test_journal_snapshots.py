@@ -7,8 +7,10 @@ rests on two facts tested here: a journaled harness delivers exactly
 what an unjournaled one does, and every observable bit of harness
 state — RAM bytes, simulator clock and event set, engine registers and
 tables, initiation records, protocol FSM scalars — returns exactly
-under restore, including arbitrarily nested snapshot stacks.  A
-journaled engine records no spans and cannot be reset: both refuse.
+under restore, including arbitrarily nested snapshot stacks.  What the
+journal does not cover refuses: a journaled simulator fires no event
+(so no transfer completes), and a journaled engine records no spans
+and cannot be reset.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from tests.conftest import (
 )
 
 from repro.core.methods import METHODS, make_protocol
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+from repro.hw.device import AccessContext
+from repro.hw.dma.engine import REG_SIZE
 from repro.verify.interleave import (
     AccessSpec,
     ProtocolHarness,
@@ -76,16 +80,15 @@ def observe(harness: ProtocolHarness) -> Tuple:
     """Every observable bit of harness state, as comparable values.
 
     Nothing here reads the journal, so a journaled and an unjournaled
-    harness can be compared directly.  The engine fingerprint and the
-    event signature are cached between mutations, so each is also
-    recomputed cold and must match: a cache that survived a missed
-    restore cannot hide it.
+    harness can be compared directly.  The engine fingerprint is cached
+    between mutations, so it is also recomputed cold and must match: a
+    cache that survived a missed restore cannot hide it.
     """
     engine = harness.engine
-    signature = harness.sim.live_event_signature()
+    signature = sorted((when, label)
+                       for when, _, _, label in harness.sim._queue)
     fingerprint = engine.fingerprint()
     drop_fingerprint_caches(harness)
-    assert harness.sim.live_event_signature() == signature
     assert engine.fingerprint() == fingerprint
     scalars = tuple(sorted(
         (name, value) for name, value in vars(harness.protocol).items()
@@ -294,9 +297,52 @@ def test_first_snapshot_refuses_an_enabled_engine_tracer():
         harness.snapshot()
     assert harness.journal is None
     assert harness.sim._journal is None
-    assert harness.ram._undo is None
     assert harness.engine._undo is None
     assert harness.engine.transfer_engine._undo is None
+
+
+@pytest.mark.parametrize("site", ["delivery", "kernel-size-write"])
+def test_journaled_engine_refuses_a_tracer_enabled_later(site):
+    """A tracer enabled after the journal was bound records nothing
+    either: a delivery (whose access span every decoded entry point
+    opens through ``_access_span``) and a kernel write to the SIZE
+    register (whose start would record a transfer span) both raise
+    before they change anything, so a restore leaves no span behind."""
+    harness = make_method_harness("shrimp2")
+    engine = harness.engine
+    token = harness.snapshot()
+    before = observe(harness)
+    engine.spans.enabled = True
+    with pytest.raises(ConfigError, match="records no spans"):
+        if site == "delivery":
+            harness.deliver(method_streams("shrimp2")[0][0])
+        else:
+            engine.mmio_write(
+                engine.layout.control_page_offset + REG_SIZE, SIZE,
+                AccessContext(1, True, harness.sim.now))
+    assert engine.spans.all_spans() == []
+    assert engine.transfer_engine.history == []
+    engine.spans.enabled = False
+    harness.restore(token)
+    assert observe(harness) == before
+
+
+def test_journaled_harness_refuses_to_complete_a_transfer():
+    """Nothing fires under the journal: driving a journaled harness's
+    clock onto a started transfer's completion raises, and leaves the
+    queue, the clock, the transfer history and RAM as they were."""
+    harness = make_method_harness("shrimp2")
+    harness.snapshot()
+    for access in method_streams("shrimp2")[0]:
+        harness.deliver(access)
+    transfer, = harness.engine.transfer_engine.history
+    sim = harness.sim
+    before = observe(harness)
+    with pytest.raises(SimulationError, match="fires no events"):
+        sim.advance(transfer.completes_at - sim.now)
+    assert observe(harness) == before
+    assert not transfer.completed
+    assert harness.engine.transfer_engine.bytes_moved == 0
 
 
 def test_journal_binds_on_first_snapshot_not_on_replay():
@@ -310,7 +356,6 @@ def test_journal_binds_on_first_snapshot_not_on_replay():
     journal = harness.journal
     assert journal is not None
     assert harness.sim._journal is journal
-    assert harness.ram._undo is journal
     assert harness.engine._undo is journal
     assert harness.engine.transfer_engine._undo is journal
     harness.deliver(order[0])

@@ -2,9 +2,8 @@
 
 A RAM of at least ``LAZY_ZERO_MIN_BYTES`` is a private anonymous
 ``mmap``; a smaller one is a ``bytearray``.  Random sequences of every
-mutating and reading operation, journal marks and undos included, must
-leave either backing holding exactly the bytes a ``bytearray`` model
-holds.
+mutating and reading operation must leave either backing holding
+exactly the bytes a ``bytearray`` model holds.
 """
 
 import mmap
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.errors import MemoryError_
 from repro.hw.memory import LAZY_ZERO_MIN_BYTES, PhysicalMemory, ramp
 from repro.hw.pagetable import PAGE_SIZE
-from repro.sim.journal import UndoJournal
 from repro.units import kib
 
 SIZES = {"mmap": LAZY_ZERO_MIN_BYTES, "bytearray": kib(64)}
@@ -40,8 +38,6 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("read_word"), _where),
     st.tuples(st.just("write_word"), _where,
               st.integers(min_value=0, max_value=(1 << 64) - 1)),
-    st.tuples(st.just("mark")),
-    st.tuples(st.just("undo")),
 ), min_size=1, max_size=25)
 
 
@@ -53,11 +49,7 @@ def _offset(where, size, nbytes=0):
     return min(base + offset, size - nbytes)
 
 
-def _nothing(_: object) -> None:
-    """Undo of a mark entry that captured nothing."""
-
-
-def _apply(ram, model, journal, marks, op):
+def _apply(ram, model, op):
     kind = op[0]
     size = ram.size
     if kind == "read":
@@ -88,14 +80,6 @@ def _apply(ram, model, journal, marks, op):
         paddr = _offset(op[1], size, 8) & ~7
         ram.write_word(paddr, op[2])
         model[paddr:paddr + 8] = op[2].to_bytes(8, "little")
-    elif kind == "mark":
-        # RAM captures its pages where they are written; the mark's own
-        # entry has nothing to restore.
-        marks.append((journal.mark(_nothing, None), bytes(model)))
-    elif kind == "undo" and marks:
-        token, saved = marks.pop()
-        journal.undo_to(token)
-        model[:] = saved
 
 
 @pytest.mark.parametrize("backing", sorted(SIZES))
@@ -112,8 +96,8 @@ def test_backing_is_chosen_by_size(backing):
 
 @pytest.mark.parametrize("backing", sorted(SIZES))
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops, journaled=st.booleans())
-def test_random_operations_match_a_bytes_model(backing, ops, journaled):
+@given(ops=_ops)
+def test_random_operations_match_a_bytes_model(backing, ops):
     ram = PhysicalMemory(SIZES[backing])
     model = bytearray(ram.size)
     # A pattern in the low and middle windows, so that moving any byte
@@ -123,18 +107,6 @@ def test_random_operations_match_a_bytes_model(backing, ops, journaled):
         pattern = ramp(base // PAGE_SIZE, 7, 4 * PAGE_SIZE)
         ram.write(base, pattern)
         model[base:base + len(pattern)] = pattern
-    journal = UndoJournal()
-    if journaled:
-        ram.bind_journal(journal)
-    marks = []
     for op in ops:
-        if op[0] in ("mark", "undo") and not journaled:
-            continue
-        _apply(ram, model, journal, marks, op)
+        _apply(ram, model, op)
         assert ram.read(0, ram.size) == bytes(model)
-    if journaled:
-        # Undoing to the first mark restores the bytes it saw.
-        if marks:
-            token, saved = marks[0]
-            journal.undo_to(token)
-            assert ram.read(0, ram.size) == saved

@@ -2,11 +2,13 @@
 
 import bisect
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import mark_clock
 
+from repro.errors import SimulationError
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PAGE_SIZE
 from repro.hw.writebuffer import WriteBuffer
@@ -97,7 +99,7 @@ class QueueModel:
 
     def observed(self):
         """What the simulator must report: (now, pending, events_fired,
-        live_event_signature())."""
+        the sorted (when, label) of every queued event)."""
         signature = tuple(sorted((when, label)
                                  for when, _, label, _, _ in self.queue))
         return self.now, len(self.queue), self.events_fired, signature
@@ -113,8 +115,23 @@ class QueueModel:
 
 
 def _observed(sim):
-    return (sim.now, sim.pending, sim.events_fired,
-            sim.live_event_signature())
+    signature = tuple(sorted((when, label)
+                             for when, _, _, label in sim._queue))
+    return sim.now, sim.pending, sim.events_fired, signature
+
+
+def _would_fire(model, op):
+    """Whether *op* would fire an event from *model*'s queue."""
+    kind = op[0]
+    if kind in ("schedule", "call_at") or not model.queue:
+        return False
+    head = model.queue[0][0]
+    if kind == "step":
+        return True
+    if kind == "wait_for":
+        _, more, timeout = op
+        return more > 0 and (timeout is None or head <= model.now + timeout)
+    return op[1] is None or head <= model.now + op[1]
 
 
 def _action(sim, fired, event_id, children):
@@ -177,8 +194,10 @@ def test_simulator_fires_in_timestamp_order(ops):
                               st.tuples(st.just("undo"))),
                     min_size=1, max_size=40))
 def test_simulator_journal_undo_matches_model(ops):
-    """Under a bound journal, undoing to a mark (LIFO) restores what the
-    simulator reported at the mark, and the rest of the program still
+    """Under a bound journal, pushes and moves of the clock that fire
+    nothing match the model, an op that would fire raises and changes
+    nothing, and undoing to a mark (LIFO) restores what the simulator
+    reported at the mark.  Unbound at the end, the rest of the program
     fires as the model says."""
     sim, fired, model = Simulator(), [], QueueModel()
     journal = UndoJournal()
@@ -187,18 +206,24 @@ def test_simulator_journal_undo_matches_model(ops):
     for index, op in enumerate(ops):
         if op[0] == "mark":
             marks.append((mark_clock(journal, sim), model.snapshot(),
-                          len(fired), _observed(sim)))
+                          _observed(sim)))
         elif op[0] == "undo":
             if marks:
-                token, saved, n_fired, seen = marks.pop()
+                token, saved, seen = marks.pop()
                 journal.undo_to(token)
                 model.restore(saved)
-                del fired[n_fired:]
                 assert _observed(sim) == seen
+        elif _would_fire(model, op):
+            seen, saved = _observed(sim), model.snapshot()
+            with pytest.raises(SimulationError, match="fires no events"):
+                _apply(sim, fired, model, index, op)
+            assert model.snapshot() == saved  # the simulator raised first
+            assert _observed(sim) == seen
         else:
             _apply(sim, fired, model, index, op)
-        assert fired == model.fired
+        assert fired == model.fired == []
         assert _observed(sim) == model.observed()
+    sim.bind_journal(None)
     assert sim.run() == model.run()
     assert fired == model.fired
     assert _observed(sim) == model.observed()

@@ -160,23 +160,13 @@ def test_same_time_insertion_order_across_horizon():
     assert fired == ["a", "b", "c"]
 
 
-def test_live_event_signature_tracks_wheel_and_far():
-    """The signature lists near and far events sorted, and shrinks as
-    they fire."""
-    sim = Simulator()
-    sim.call_at(FAR + 1, lambda: None, label="far")
-    sim.schedule(10, lambda: None, label="near")
-    assert sim.live_event_signature() == ((10, "near"), (FAR + 1, "far"))
-    sim.step()
-    assert sim.live_event_signature() == ((FAR + 1, "far"),)
-    sim.step()
-    assert sim.live_event_signature() == ()
-
-
 # -- journal mark/undo -----------------------------------------------------
 
 
 def test_journal_mark_undo_roundtrip():
+    """Undo takes back the pushes and the clock since the mark, and
+    only those: unbound again, the simulator fires exactly the events
+    queued at the mark."""
     sim = Simulator()
     journal = UndoJournal()
     sim.bind_journal(journal)
@@ -184,13 +174,13 @@ def test_journal_mark_undo_roundtrip():
     sim.schedule(10, lambda: fired.append("a"))
     sim.advance(5)
     mark = mark_clock(journal, sim)
-    sim.schedule(30, lambda: fired.append("b"))
-    sim.run()
-    assert fired == ["a", "b"]
+    sim.schedule(10, lambda: fired.append("b"))
+    sim.advance(4)
+    assert (sim.now, sim.pending) == (9, 2)
     journal.undo_to(mark)
     assert (sim.now, sim.pending, sim.events_fired) == (5, 1, 0)
-    fired.clear()
-    sim.run()
+    sim.bind_journal(None)
+    assert sim.run() == 1
     assert fired == ["a"]
 
 
@@ -210,22 +200,25 @@ def test_journal_nested_marks_undo_in_stack_order():
     assert (sim.now, sim.pending) == (1, 0)
 
 
-def test_journal_undo_restores_a_far_event_fired_after_the_mark():
-    """Undo puts back a far event that fired after the mark, and it
-    fires again, even though the clock ran far past it."""
+def test_journaled_simulator_refuses_to_fire():
+    """A journaled simulator fires nothing: every way of driving the
+    clock onto a queued event raises before the event is popped, so the
+    queue, the clock and the fired count stay as they were.  Moving the
+    clock short of an event is fine, and unbound, the event fires."""
     sim = Simulator()
-    journal = UndoJournal()
-    sim.bind_journal(journal)
     fired = []
-    sim.call_at(FAR + 5, lambda: fired.append("far"))
-    mark = mark_clock(journal, sim)
-    sim.advance(FAR + 10)
-    sim.schedule(1, lambda: fired.append("next"))
-    sim.run()
-    assert fired == ["far", "next"]
-    journal.undo_to(mark)
-    assert (sim.now, sim.pending, sim.events_fired) == (0, 1, 0)
-    assert sim.live_event_signature() == ((FAR + 5, ""),)
-    fired.clear()
+    sim.call_at(FAR + 5, lambda: fired.append("far"), label="far")
+    sim.bind_journal(UndoJournal())
+    sim.advance(FAR)
+    assert not sim.wait_for(lambda: False, timeout=4)
+    drives = [sim.step, lambda: sim.advance(1), sim.run,
+              lambda: sim.run_until(FAR + 5),
+              lambda: sim.wait_for(lambda: bool(fired))]
+    for drive in drives:
+        with pytest.raises(SimulationError, match="fires no events"):
+            drive()
+        assert (sim.now, sim.pending, sim.events_fired) == (FAR + 4, 1, 0)
+    assert fired == []
+    sim.bind_journal(None)
     assert sim.run() == 1
-    assert fired == ["far"]
+    assert (fired, sim.now) == (["far"], FAR + 5)

@@ -4,11 +4,13 @@ The contract is strict: :func:`check_scenario_incremental` must return a
 :class:`~repro.verify.model_check.CheckResult` that compares **equal** —
 counts, per-property tallies, and retained examples, in order — to what
 the naive oracle returns, on every built-in scenario, with the
-transposition table on or off (a harness that offers no fingerprint
-turns it off, as a node whose state cannot be fingerprinted does).
+transposition table on or off (a harness whose fingerprint never
+repeats turns it off).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -41,10 +43,10 @@ def test_differential_with_transposition(scenario):
 
 
 def unmemoized_harness(scenario):
-    """A checker harness that offers no fingerprint, so the DFS neither
-    stores nor reuses a subtree and expands every node."""
+    """A checker harness whose fingerprint never repeats, so the DFS
+    never reuses a subtree and expands every node."""
     harness = make_harness(scenario)
-    harness.fingerprint = lambda: None
+    harness.fingerprint = itertools.count().__next__
     return harness
 
 
@@ -80,7 +82,7 @@ def test_stats_show_prefix_sharing():
 
 def test_transposition_reduces_work():
     """On fig8-2adv the table's 518 hits leave 1,241 deliveries of the
-    29,887 the same walk makes with no fingerprint to memoize on."""
+    29,887 the same walk makes with no fingerprint that repeats."""
     with_table = CheckStats()
     without_table = CheckStats()
     scenario = fig8_scenario(2)
@@ -111,7 +113,10 @@ def test_max_interleavings_cap_raises():
 def test_cached_fingerprint_equals_cold_at_every_node(monkeypatch):
     """The transposition table keys on cached fingerprints; at every DFS
     node of the built-in suite and of a k=2 fault sample each equals
-    one recomputed cold."""
+    one recomputed cold.  The fingerprint leaves out RAM and the event
+    queue because nothing fires under the journal: RAM never changes,
+    and the queue holds exactly one completion per started transfer,
+    which the transfer history names."""
     nodes = 0
 
     def checked_harness(scenario):
@@ -123,7 +128,13 @@ def test_cached_fingerprint_equals_cold_at_every_node(monkeypatch):
             value = cached()
             drop_fingerprint_caches(harness)
             assert value == cached()
-            nodes += value is not None
+            queue = sorted((when, label)
+                           for when, _, _, label in harness.sim._queue)
+            assert queue == sorted(
+                (t.started_at + t.duration, f"dma-complete[{t.size}B]")
+                for t in harness.engine.transfer_engine.history)
+            assert harness.sim.events_fired == 0
+            nodes += 1
             return value
 
         harness.fingerprint = fingerprint
