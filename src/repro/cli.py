@@ -147,9 +147,10 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
 def cmd_faults(args: argparse.Namespace) -> None:
     """Re-verify every initiation method under single-fault schedules."""
-    from .verify.faulted import FAULT_HARDENED_METHODS, run_fault_verification
+    from .verify.faulted import FAULT_HARDENED_METHODS, VERIFIABLE_METHODS
+    from .verify.synth import run_k_fault_campaign
 
-    reports = run_fault_verification()
+    reports = run_k_fault_campaign(VERIFIABLE_METHODS, k=1)
     table = Table("Protection + atomicity under single faults "
                   "(page-bounded engine)",
                   ["method", "baseline", "fault variants",
@@ -157,7 +158,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     for method, report in reports.items():
         table.add_row(method,
                       "safe" if report.baseline_safe else "unsafe",
-                      report.variants_checked,
+                      report.combos_checked,
                       report.interleavings_checked,
                       report.verdict)
     print(table.render())

@@ -66,6 +66,20 @@ class ProtectionFault(ReproError):
         self.access = access
 
 
+class AlignmentFault(ReproError):
+    """A word access to RAM was not naturally aligned (the Alpha traps).
+
+    Attributes:
+        vaddr: the misaligned virtual address.
+        access: the access kind that faulted ("read" or "write").
+    """
+
+    def __init__(self, vaddr: int, access: str) -> None:
+        super().__init__(f"alignment fault at {vaddr:#x} on {access}")
+        self.vaddr = vaddr
+        self.access = access
+
+
 class BusError(ReproError):
     """A physical access hit no device window and no RAM."""
 

@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ConfigError, PageFault, ProtectionFault, ReproError
+from ..errors import (
+    AlignmentFault,
+    ConfigError,
+    PageFault,
+    ProtectionFault,
+    ReproError,
+)
 from ..obs.spans import SpanTracer
 from ..sim.clock import Clock
 from ..sim.engine import Simulator
@@ -305,7 +311,7 @@ class Cpu:
                 raise ConfigError(f"unknown instruction {instr!r}")
             try:
                 next_pc = execute(self, thread, instr)
-            except (PageFault, ProtectionFault) as exc:
+            except (PageFault, ProtectionFault, AlignmentFault) as exc:
                 thread.fault = Fault(
                     kind=type(exc).__name__,
                     vaddr=exc.vaddr,
@@ -381,10 +387,15 @@ class Cpu:
                  else thread.reg(addr.base) + addr.disp) & WORD_MASK
         translation = self.mmu.translate(vaddr, "read",
                                          user_mode=not self._in_kernel)
-        sim = self.sim
-        sim.advance(translation.cost)
         paddr = translation.paddr
         bus = self.bus
+        # A RAM word access traps unless naturally aligned, before it
+        # costs anything (as a page fault does); device windows decode
+        # any offset.
+        if paddr & 7 and not bus.is_device(paddr):
+            raise AlignmentFault(vaddr, "read")
+        sim = self.sim
+        sim.advance(translation.cost)
         if bus.is_device(paddr):
             forwarded = self.write_buffer.forward(paddr)
             if forwarded is not None:
@@ -429,6 +440,8 @@ class Cpu:
             self.write_buffer.post(paddr, value, self._drain)
             self._count["uncached_stores"].value += 1
         else:
+            if paddr & 7:
+                raise AlignmentFault(vaddr, "write")
             self.sim.advance(translation.cost + self._mem_ps)
             self.bus.ram.write_word(paddr, value)
             self._count["stores"].value += 1
@@ -441,8 +454,10 @@ class Cpu:
         translation = self.mmu.translate(vaddr, "write",
                                          user_mode=not self._in_kernel)
         self.mmu.translate(vaddr, "read", user_mode=not self._in_kernel)
-        self.sim.advance(translation.cost)
         paddr = translation.paddr
+        if paddr & 7 and not self.bus.is_device(paddr):
+            raise AlignmentFault(vaddr, "write")
+        self.sim.advance(translation.cost)
         self.write_buffer.flush(self._drain)
         self.sim.advance(self._uncached_ps)
         hit = self.bus.find_window(paddr)

@@ -17,16 +17,17 @@ executable:
   results, each access delivered once per choice-tree edge;
 * :mod:`repro.verify.stress` — whole-machine multiprogrammed stress runs
   under a seeded preemptive scheduler;
-* :mod:`repro.verify.faulted` — re-verification of every method under
-  single faults (drop/duplicate/reorder/delay/bitflip applied to the
-  access streams), with SAFE / UNSAFE-BASELINE / NEWLY-UNSAFE verdicts;
+* :mod:`repro.verify.faulted` — the stream-fault taxonomy
+  (drop/duplicate/reorder/delay/bitflip applied to the access streams)
+  that :mod:`repro.verify.synth.kfault` re-verifies every method under,
+  with SAFE / UNSAFE-BASELINE / NEWLY-UNSAFE verdicts;
 * :mod:`repro.verify.legality` — the shared MMU page-rights validator:
   every :class:`~repro.verify.model_check.Scenario` (hand-written or
   synthesized) is checked at construction time;
 * :mod:`repro.verify.synth` — counterexample *search*: seeded MMU-legal
   adversary generation, a bandit-guided hunt over
   :func:`check_scenario_incremental`, delta-debugging shrinking to
-  1-minimal cores, and k-fault campaigns.
+  1-minimal cores, and the fault campaign (``repro faults`` is k=1).
 """
 
 from .adversary import (
@@ -36,14 +37,7 @@ from .adversary import (
     fig8_scenario,
     pair_race_scenario,
 )
-from .faulted import (
-    FAULT_HARDENED_METHODS,
-    FaultSpec,
-    MethodFaultReport,
-    all_acceptable,
-    run_fault_verification,
-    verify_method_under_faults,
-)
+from .faulted import FAULT_HARDENED_METHODS, FaultSpec
 from .incremental import CheckStats, check_scenario_incremental
 from .interleave import (
     AccessSpec,
@@ -74,7 +68,6 @@ __all__ = [
     "FAULT_HARDENED_METHODS",
     "FaultSpec",
     "LemmaResult",
-    "MethodFaultReport",
     "ProcessIntent",
     "ProofReport",
     "ProtocolHarness",
@@ -83,7 +76,6 @@ __all__ = [
     "StressReport",
     "Violation",
     "access_violation",
-    "all_acceptable",
     "builtin_scenarios",
     "check_scenario",
     "check_scenario_incremental",
@@ -97,8 +89,6 @@ __all__ = [
     "prove_fig8",
     "replay_interleaving",
     "require_legal_streams",
-    "run_fault_verification",
     "run_stress",
     "stream_violations",
-    "verify_method_under_faults",
 ]

@@ -1,4 +1,4 @@
-"""Re-verifying initiation methods *under faults* (model-checker level).
+"""The stream-fault taxonomy the model checker re-verifies methods under.
 
 The timed simulation injects faults at runtime (repro.faults.injector);
 here the same fault taxonomy is applied **inside the model checker**, by
@@ -11,6 +11,8 @@ transforming a scenario's access streams before exhaustive interleaving:
   migrating to the end of its stream — the worst legal reordering);
 * ``bitflip``   — one data bit of a value-carrying access flips.
 
+This module builds the variants; the campaign that checks them is
+:mod:`repro.verify.synth.kfault`, which ``repro faults`` runs at k=1.
 Each single-fault variant of a scenario is then checked exhaustively for
 the *protection* properties (authorized-start, single-issuer) over every
 interleaving, exactly as §3.3.1 does for the fault-free case.  The
@@ -38,8 +40,8 @@ Verdicts per method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from ..faults.plan import BITFLIP, DELAY, DROP, DUPLICATE, REORDER
 from .adversary import (
@@ -49,9 +51,7 @@ from .adversary import (
     revoked_capability_scenario,
     stale_iotlb_scenario,
 )
-from . import incremental
-from .incremental import check_scenario_incremental
-from .model_check import CheckResult, Scenario
+from .model_check import Scenario
 
 #: Bit positions exercised by bitflip variants: low bits (small size
 #: perturbations), bit 4, bit 13 (= PAGE_SHIFT: flips a size word past
@@ -155,74 +155,6 @@ def apply_fault(scenario: Scenario, spec: FaultSpec) -> Scenario:
                    check_truthfulness=False)
 
 
-def apply_faults(scenario: Scenario,
-                 specs: Sequence[FaultSpec]) -> Scenario:
-    """A copy of *scenario* with *several* faults applied to its streams.
-
-    Specs are applied in descending ``(stream, index)`` order, so a
-    fault that shortens or lengthens a stream never invalidates the
-    location of a fault at an earlier index.  A combination can still
-    be infeasible — e.g. a reorder whose partner access was dropped by
-    a later-index fault — in which case :class:`IndexError` propagates;
-    the k-fault campaign (:mod:`repro.verify.synth.kfault`) counts such
-    combinations as skipped rather than checked.
-    """
-    ordered = sorted(specs, key=lambda s: (s.stream, s.index),
-                     reverse=True)
-    out = scenario
-    for spec in ordered:
-        out = apply_fault(out, spec)
-    return out
-
-
-@dataclass
-class MethodFaultReport:
-    """Fault-verification outcome for one initiation method.
-
-    Attributes:
-        method: the method name.
-        baseline_safe: protection held with no fault injected.
-        variants_checked: number of single-fault variants replayed.
-        interleavings_checked: total orders across all variants.
-        newly_unsafe: (fault, result) pairs where a variant broke a
-            protection property despite a safe baseline.
-        baseline_results: the fault-free results (pair race, plus the
-            method's canonical attack figure where the paper gives one).
-    """
-
-    method: str
-    baseline_safe: bool
-    variants_checked: int = 0
-    interleavings_checked: int = 0
-    newly_unsafe: List[Tuple[FaultSpec, CheckResult]] = (
-        field(default_factory=list))
-    baseline_results: List[CheckResult] = field(default_factory=list)
-
-    @property
-    def verdict(self) -> str:
-        """SAFE / UNSAFE-BASELINE / NEWLY-UNSAFE (see module docstring)."""
-        if not self.baseline_safe:
-            return "UNSAFE-BASELINE"
-        if self.newly_unsafe:
-            return "NEWLY-UNSAFE"
-        return "SAFE"
-
-    @property
-    def acceptable(self) -> bool:
-        """A method is acceptable unless a fault *created* an attack."""
-        return self.verdict != "NEWLY-UNSAFE"
-
-    def summary(self) -> str:
-        """One-line human-readable result."""
-        base = (f"{self.method}: {self.verdict} "
-                f"({self.variants_checked} fault variants, "
-                f"{self.interleavings_checked} interleavings)")
-        if self.newly_unsafe:
-            worst = self.newly_unsafe[0]
-            base += f"; first break: {worst[0].label()}"
-        return base
-
-
 def method_fault_scenarios(method: str) -> List[Scenario]:
     """The fault-free scenarios a method is judged on.
 
@@ -255,76 +187,3 @@ def method_fault_scenarios(method: str) -> List[Scenario]:
         extra.check_truthfulness = False
         scenarios.append(extra)
     return scenarios
-
-
-def verify_method_under_faults(
-        method: str,
-        max_examples: int = 3,
-        max_interleavings: Optional[int] = 200_000,
-        checker: Callable[..., CheckResult] = check_scenario_incremental,
-        progress: Optional[Callable[[str, int, int], None]] = None,
-) -> MethodFaultReport:
-    """Exhaustively re-check *method* under every single fault.
-
-    Args:
-        method: one of :data:`VERIFIABLE_METHODS`.
-        max_examples: violating examples to retain per variant.
-        max_interleavings: per-variant order cap (safety net).
-        checker: the check function (incremental by default; the naive
-            :func:`~repro.verify.model_check.check_scenario` gives
-            identical results).  It is called with ``harness=`` for the
-            race and its variants, as both accept.
-        progress: optional callback ``(variant_name, done, total)``.
-    """
-    baselines = method_fault_scenarios(method)
-    race = baselines[0]
-    # One harness checks the race and every variant of it (a variant
-    # differs from the race only in its streams, name and truthfulness
-    # flag); the method's other baseline builds its own.  It is built
-    # the way the incremental checker builds one (``incremental``'s
-    # name for it, so a wrapper there sees every build).
-    harness = incremental.make_harness(race)
-    baseline_results = [
-        checker(b, max_examples=max_examples,
-                max_interleavings=max_interleavings,
-                **({"harness": harness} if b is race else {}))
-        for b in baselines]
-    baseline_safe = all(r.safe for r in baseline_results)
-    report = MethodFaultReport(method=method, baseline_safe=baseline_safe,
-                               baseline_results=baseline_results)
-    report.interleavings_checked = sum(
-        r.total_interleavings for r in baseline_results)
-    specs = enumerate_single_faults(race)
-    for done, spec in enumerate(specs, start=1):
-        variant = apply_fault(race, spec)
-        result = checker(variant, max_examples=max_examples,
-                         max_interleavings=max_interleavings,
-                         harness=harness)
-        report.variants_checked += 1
-        report.interleavings_checked += result.total_interleavings
-        if baseline_safe and result.attack_found:
-            report.newly_unsafe.append((spec, result))
-        if progress is not None:
-            progress(variant.name, done, len(specs))
-    return report
-
-
-def run_fault_verification(
-        methods: Optional[Sequence[str]] = None,
-        max_examples: int = 3,
-        progress: Optional[Callable[[str, int, int], None]] = None,
-) -> Dict[str, MethodFaultReport]:
-    """Fault-verify every (or the given) method; name -> report.
-
-    The acceptance criterion — no method NEWLY-UNSAFE — is
-    :func:`all_acceptable` over the returned reports.
-    """
-    chosen = tuple(methods) if methods is not None else VERIFIABLE_METHODS
-    return {m: verify_method_under_faults(m, max_examples=max_examples,
-                                          progress=progress)
-            for m in chosen}
-
-
-def all_acceptable(reports: Dict[str, MethodFaultReport]) -> bool:
-    """True when no method earned the NEWLY-UNSAFE verdict."""
-    return all(r.acceptable for r in reports.values())

@@ -16,9 +16,10 @@ refute scenarios someone already wrote down.  This package inverts it:
 * :mod:`repro.verify.synth.shrink` — delta-debugging reduction of a
   found counterexample to a 1-minimal access stream with a canonical
   interleaving;
-* :mod:`repro.verify.synth.kfault` — extension of
-  :mod:`repro.verify.faulted` from single-fault to k-fault campaigns
-  (exhaustive for k ≤ 2, seeded probabilistic soak beyond).
+* :mod:`repro.verify.synth.kfault` — the fault campaign over
+  :mod:`repro.verify.faulted`'s taxonomy, k faults per variant
+  (exhaustive for k ≤ 2, seeded probabilistic soak beyond; ``repro
+  faults`` runs it at k=1).
 
 The acceptance test for the whole subsystem is *rediscovery*: with a
 fixed seed and a bounded budget, the search re-finds the paper's Fig. 5

@@ -1,29 +1,31 @@
-"""k-fault campaigns: protection under *combinations* of faults.
+"""The fault campaign: protection under combinations of ``k`` faults.
 
-:mod:`repro.verify.faulted` proves the hardened methods keep protection
-under any **single** fault.  This module extends the same taxonomy
-(drop / duplicate / reorder / delay / bitflip) to combinations of up to
-``k`` simultaneous faults on the honest pair-race scenario:
+:mod:`repro.verify.faulted` defines the stream-fault taxonomy (drop /
+duplicate / reorder / delay / bitflip) and each method's fault-free
+scenarios.  This module checks a method under combinations of ``k``
+simultaneous faults on the honest pair-race scenario; ``repro faults``
+runs it at k=1 over every verifiable method, ``repro hunt --k-faults``
+at any k over the hardened ones:
 
 * **k ≤ 2 is exhaustive** — every unordered combination of distinct
   single-fault specs is applied (descending-index order, see
-  :func:`~repro.verify.faulted.apply_faults`) and model-checked over
-  every interleaving;
+  :func:`apply_fault_combo`) and model-checked over every interleaving;
 * **k ≥ 3 is a seeded probabilistic soak** — the combination space
   explodes combinatorially, so a :func:`~repro.sim.rng.make_rng`-seeded
   sample of ``max_combos`` combinations is checked instead, and the
   report says so (``sampled=True``).
 
-Verdicts reuse the single-fault taxonomy: ``SAFE`` (baseline and every
-checked combination keep protection), ``UNSAFE-BASELINE`` (the method
-is broken without faults, so fault-hardening is moot), ``NEWLY-UNSAFE``
-(a combination *created* an attack — the verdict no built-in method may
-ever earn).  Combinations that are mechanically infeasible (a reorder
-whose partner was dropped) are counted as skipped, never as checked.
+Verdicts: ``SAFE`` (baseline and every checked combination keep
+protection), ``UNSAFE-BASELINE`` (the method is broken without faults,
+so fault-hardening is moot), ``NEWLY-UNSAFE`` (a combination *created*
+an attack — the verdict no built-in method may ever earn).
+Combinations that are mechanically infeasible (a reorder whose partner
+was dropped) are counted as skipped, never as checked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from ...sim.rng import make_rng
 from ..faulted import (
     FAULT_HARDENED_METHODS,
     FaultSpec,
-    apply_faults,
+    apply_fault,
     enumerate_single_faults,
     method_fault_scenarios,
 )
@@ -52,12 +54,15 @@ def apply_fault_combo(scenario: Scenario,
                       specs: Sequence[FaultSpec]) -> Optional[Scenario]:
     """Apply a combination of faults, or None if it is infeasible.
 
-    A combination is infeasible when two non-commuting specs target the
-    same access (the order of same-slot structural faults is undefined
-    — only bitflips commute, being XORs of distinct bits) or when one
-    fault removes the access another needs (e.g. reorder after a drop
-    of its partner) — :func:`~repro.verify.faulted.apply_faults` then
-    raises :class:`IndexError`, which this wrapper converts to None.
+    Specs are applied in descending ``(stream, index)`` order, so a
+    fault that shortens or lengthens a stream never invalidates the
+    location of a fault at an earlier index.  A combination is
+    infeasible when two non-commuting specs target the same access (the
+    order of same-slot structural faults is undefined — only bitflips
+    commute, being XORs of distinct bits) or when one fault removes the
+    access another needs (e.g. a reorder whose partner was dropped by a
+    later-index fault) — :func:`~repro.verify.faulted.apply_fault` then
+    raises :class:`IndexError`, which this function converts to None.
     """
     by_slot: Dict[Tuple[int, int], List[FaultSpec]] = {}
     for spec in specs:
@@ -70,10 +75,14 @@ def apply_fault_combo(scenario: Scenario,
         bits = [g.bit for g in group]
         if len(set(bits)) != len(bits):
             return None
+    out = scenario
     try:
-        return apply_faults(scenario, specs)
+        for spec in sorted(specs, key=lambda s: (s.stream, s.index),
+                           reverse=True):
+            out = apply_fault(out, spec)
     except IndexError:
         return None
+    return out
 
 
 @dataclass
@@ -112,7 +121,7 @@ class KFaultReport:
 
     @property
     def verdict(self) -> str:
-        """SAFE / UNSAFE-BASELINE / NEWLY-UNSAFE (single-fault taxonomy)."""
+        """SAFE / UNSAFE-BASELINE / NEWLY-UNSAFE (see module docstring)."""
         if not self.baseline_safe:
             return "UNSAFE-BASELINE"
         if self.newly_unsafe:
@@ -171,8 +180,8 @@ def verify_method_under_k_faults(
 
     Args:
         method: one of the verifiable methods.
-        k: faults per combination (k=1 reduces to the single-fault
-            campaign's coverage on the pair race).
+        k: faults per combination (k=1 checks every single fault on
+            the pair race, as ``repro faults`` does).
         max_examples: violating examples retained per variant.
         max_interleavings: per-variant order cap (safety net).
         max_combos: cap on combinations checked.  Defaults to the full
@@ -189,20 +198,19 @@ def verify_method_under_k_faults(
     if k < 1:
         raise VerificationError("k must be >= 1")
     started = time.monotonic()
+    phase = (profiler.phase if profiler is not None
+             else lambda name: contextlib.nullcontext())
     baselines = method_fault_scenarios(method)
     race = baselines[0]
-    # One harness for the race and its variants, as in the single-fault
-    # campaign (repro.verify.faulted.verify_method_under_faults).
+    # One harness checks the race and every variant of it (they differ
+    # only in streams, name and truthfulness flag); the other baseline
+    # builds its own.  It is built through ``incremental.make_harness``
+    # so a wrapper there sees every build.
     harness = incremental.make_harness(race)
     baseline_results = []
     for baseline in baselines:
         own = {"harness": harness} if baseline is race else {}
-        if profiler is not None:
-            with profiler.phase("baseline"):
-                baseline_results.append(checker(
-                    baseline, max_examples=max_examples,
-                    max_interleavings=max_interleavings, **own))
-        else:
+        with phase("baseline"):
             baseline_results.append(checker(
                 baseline, max_examples=max_examples,
                 max_interleavings=max_interleavings, **own))
@@ -236,12 +244,7 @@ def verify_method_under_k_faults(
         if variant is None:
             report.combos_skipped += 1
         else:
-            if profiler is not None:
-                with profiler.phase("variant"):
-                    result = checker(variant, max_examples=max_examples,
-                                     max_interleavings=max_interleavings,
-                                     harness=harness)
-            else:
+            with phase("variant"):
                 result = checker(variant, max_examples=max_examples,
                                  max_interleavings=max_interleavings,
                                  harness=harness)

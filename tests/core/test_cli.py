@@ -54,6 +54,33 @@ def test_prove_command(capsys):
     assert "lemma1: HOLDS" in out
 
 
+def test_faults_command(capsys):
+    out = run_cli(capsys, "faults")
+    rows = {}
+    for line in out.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) == 5 and cells[2].isdigit():
+            rows[cells[0]] = tuple(cells[1:])
+    assert rows == {
+        "shrimp1": ("safe", "16", "34", "SAFE"),
+        "shrimp2": ("unsafe", "24", "154", "UNSAFE-BASELINE"),
+        "flash": ("unsafe", "24", "154", "UNSAFE-BASELINE"),
+        "pal": ("unsafe", "24", "154", "UNSAFE-BASELINE"),
+        "keyed": ("safe", "64", "4718", "SAFE"),
+        "extshadow": ("safe", "24", "154", "SAFE"),
+        "repeated3": ("unsafe", "32", "725", "UNSAFE-BASELINE"),
+        "repeated4": ("unsafe", "52", "3883", "UNSAFE-BASELINE"),
+        "repeated5": ("safe", "60", "16212", "SAFE"),
+        "iommu": ("safe", "24", "160", "SAFE"),
+        "iommu_noshootdown": ("unsafe", "24", "160", "UNSAFE-BASELINE"),
+        "capio": ("safe", "64", "4788", "SAFE"),
+        "capio_noepoch": ("unsafe", "64", "4788", "UNSAFE-BASELINE"),
+    }
+    assert ("hardened methods (shrimp1, keyed, extshadow, repeated5, "
+            "iommu, capio) all SAFE: yes") in out
+    assert "no method NEWLY-UNSAFE: yes" in out
+
+
 def test_atomics_command(capsys):
     out = run_cli(capsys, "atomics")
     assert "keyed" in out and "extshadow" in out and "kernel" in out

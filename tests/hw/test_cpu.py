@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hw.bus import Bus, TURBOCHANNEL_12_5
-from repro.hw.cpu import Cpu, CpuCosts, StepStatus, Thread
+from repro.hw.cpu import Cpu, CpuCosts, Fault, StepStatus, Thread
 from repro.hw.device import MmioDevice
 from repro.hw.isa import (
     Add,
@@ -12,6 +12,7 @@ from repro.hw.isa import (
     Beq,
     Bne,
     CallPal,
+    CompareExchange,
     Halt,
     Jump,
     Label,
@@ -238,6 +239,27 @@ def test_faulted_thread_is_done():
     thread, _ = run(cpu, table, [Load("t0", Addr(None, 0xDEAD0000))])
     assert thread.done
     assert cpu.step(thread) is StepStatus.FAULTED
+
+
+@pytest.mark.parametrize("instr, access", [
+    (Load("t0", Addr("t1", 0x10)), "read"),
+    (Store(Addr("t1", 0x10), 0xFF), "write"),
+    (CompareExchange("t0", Addr("t1", 0x10), 0xFF), "write"),
+], ids=["load", "store", "exchange"])
+def test_unaligned_ram_access_faults_the_thread(instr, access):
+    sim, ram, _, device, cpu, table = make_machine()
+    cpu.mmu.activate(table, flush=True)
+    thread = Thread(pid=1, page_table=table, program=assemble(
+        [Store(Addr(None, DEV_V), 5), instr, Halt()]))
+    thread.set_reg("t1", RAM_V + 1)
+    assert cpu.step(thread) is StepStatus.RUNNING  # posts the device store
+    before = (sim.now, ram.read(RAM_P, PAGE_SIZE))
+    assert cpu.step(thread) is StepStatus.FAULTED
+    assert thread.fault == Fault("AlignmentFault", RAM_V + 0x11, access, 1)
+    # Nothing was charged, written or drained before the trap.
+    assert (sim.now, ram.read(RAM_P, PAGE_SIZE)) == before
+    assert device.log == []
+    assert cpu.run(thread) is StepStatus.FAULTED
 
 
 def test_time_advances_monotonically():

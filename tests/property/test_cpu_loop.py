@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AddressError, ReproError
+from repro.errors import ReproError
 from repro.hw.bus import TURBOCHANNEL_12_5, Bus
 from repro.hw.cpu import Cpu, CpuCosts, StepStatus, Thread
 from repro.hw.device import MmioDevice
@@ -149,8 +149,6 @@ def through_run(program, registers, budget):
                     registers=dict(registers))
     try:
         outcome: Any = cpu.run(thread, max_instructions=budget)
-    except AddressError:
-        outcome = "unaligned"
     except ReproError:
         outcome = "budget"
     return observe(sim, bus, device, cpu, thread, outcome)
@@ -162,16 +160,11 @@ def through_step(program, registers, budget):
                     registers=dict(registers))
     cpu.mmu.activate(table, flush=True)  # as run() does on first use
     outcome: Any = "budget"
-    try:
-        for _ in range(budget):
-            status = cpu.step(thread)
-            if status is not StepStatus.RUNNING:
-                outcome = status
-                break
-    except AddressError:
-        # A register can point a RAM access off word alignment, which
-        # raises through both loops alike.
-        outcome = "unaligned"
+    for _ in range(budget):
+        status = cpu.step(thread)
+        if status is not StepStatus.RUNNING:
+            outcome = status
+            break
     return observe(sim, bus, device, cpu, thread, outcome)
 
 

@@ -5,6 +5,7 @@ benchmark files, and test files; these tests keep those citations honest
 as the code evolves.
 """
 
+import ast
 import pathlib
 import re
 
@@ -15,6 +16,12 @@ def referenced_paths(text):
     """Extract repo-relative .py paths mentioned in a document."""
     pattern = re.compile(
         r"(?:benchmarks|tests|examples|src/repro|repro)[\w/\.]*\.py")
+    return set(re.findall(pattern, text))
+
+
+def cited_test_nodes(text):
+    """Extract ``path.py::Name`` citations of test and benchmark files."""
+    pattern = re.compile(r"((?:benchmarks|tests)/[\w/\.]*\.py)::(\w+)")
     return set(re.findall(pattern, text))
 
 
@@ -48,6 +55,20 @@ def test_docs_references_exist():
         for ref in referenced_paths(doc.read_text()):
             assert normalize(ref).exists(), (
                 f"{doc.name} cites missing {ref}")
+
+
+def test_cited_test_nodes_exist():
+    """A cited ``path.py::Name`` names a top-level def or class there."""
+    docs = [ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            ROOT / "README.md", *(ROOT / "docs").glob("*.md")]
+    for doc in docs:
+        for path, name in cited_test_nodes(doc.read_text()):
+            tree = ast.parse(normalize(path).read_text())
+            defined = {node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef,
+                                            ast.ClassDef))}
+            assert name in defined, f"{doc.name} cites missing {path}::{name}"
 
 
 def test_every_benchmark_is_documented():

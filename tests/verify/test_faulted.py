@@ -1,4 +1,5 @@
-"""Model-checker level fault verification (repro.verify.faulted)."""
+"""Model-checker level fault verification: the taxonomy in
+repro.verify.faulted, checked by the k-fault campaign at k=1."""
 
 import pytest
 
@@ -8,14 +9,32 @@ from repro.verify.faulted import (
     FAULT_HARDENED_METHODS,
     VERIFIABLE_METHODS,
     FaultSpec,
-    all_acceptable,
     apply_fault,
     enumerate_single_faults,
     method_fault_scenarios,
-    run_fault_verification,
-    verify_method_under_faults,
 )
 from repro.verify.incremental import check_scenario_incremental
+from repro.verify.synth import (
+    run_k_fault_campaign,
+    verify_method_under_k_faults,
+)
+
+#: ``repro faults``'s rows: (verdict, fault variants, interleavings).
+SINGLE_FAULT_ROWS = {
+    "shrimp1": ("SAFE", 16, 34),
+    "shrimp2": ("UNSAFE-BASELINE", 24, 154),
+    "flash": ("UNSAFE-BASELINE", 24, 154),
+    "pal": ("UNSAFE-BASELINE", 24, 154),
+    "keyed": ("SAFE", 64, 4718),
+    "extshadow": ("SAFE", 24, 154),
+    "repeated3": ("UNSAFE-BASELINE", 32, 725),
+    "repeated4": ("UNSAFE-BASELINE", 52, 3883),
+    "repeated5": ("SAFE", 60, 16212),
+    "iommu": ("SAFE", 24, 160),
+    "iommu_noshootdown": ("UNSAFE-BASELINE", 24, 160),
+    "capio": ("SAFE", 64, 4788),
+    "capio_noepoch": ("UNSAFE-BASELINE", 64, 4788),
+}
 
 
 def race(method="keyed", page_bounded=True):
@@ -96,25 +115,28 @@ class TestApplyFault:
 class TestVerdicts:
     @pytest.mark.parametrize("method", FAULT_HARDENED_METHODS)
     def test_hardened_methods_survive_every_single_fault(self, method):
-        report = verify_method_under_faults(method)
+        report = verify_method_under_k_faults(method, k=1)
         assert report.verdict == "SAFE"
-        assert report.variants_checked > 0
+        assert report.combos_checked > 0
         assert not report.newly_unsafe
 
     @pytest.mark.parametrize("method", ["repeated3", "repeated4", "shrimp2"])
     def test_known_broken_methods_classify_as_baseline_unsafe(self, method):
-        report = verify_method_under_faults(method)
+        report = verify_method_under_k_faults(method, k=1)
         assert report.verdict == "UNSAFE-BASELINE"
         assert report.acceptable  # fault-hardening is moot, not regressed
 
     def test_no_method_is_newly_unsafe(self):
-        reports = run_fault_verification()
-        assert set(reports) == set(VERIFIABLE_METHODS)
-        assert all_acceptable(reports)
-        assert all(r.verdict != "NEWLY-UNSAFE" for r in reports.values())
+        reports = run_k_fault_campaign(VERIFIABLE_METHODS, k=1)
+        assert list(reports) == list(VERIFIABLE_METHODS)
+        assert {m: (r.verdict, r.combos_checked, r.interleavings_checked)
+                for m, r in reports.items()} == SINGLE_FAULT_ROWS
+        # No single fault is infeasible, and nothing is sampled at k=1.
+        assert all(r.combos_skipped == 0 and not r.sampled
+                   for r in reports.values())
 
     def test_summary_mentions_method_and_verdict(self):
-        report = verify_method_under_faults("shrimp1")
+        report = verify_method_under_k_faults("shrimp1", k=1)
         assert "shrimp1" in report.summary()
         assert "SAFE" in report.summary()
 

@@ -10,11 +10,7 @@ import pytest
 from repro.errors import VerificationError
 from repro.faults.plan import BITFLIP, DROP, REORDER
 from repro.verify.adversary import pair_race_scenario
-from repro.verify.faulted import (
-    FaultSpec,
-    apply_faults,
-    enumerate_single_faults,
-)
+from repro.verify.faulted import FaultSpec, enumerate_single_faults
 from repro.verify.synth import (
     apply_fault_combo,
     run_k_fault_campaign,
@@ -35,8 +31,10 @@ class TestApplyFaults:
 
     def test_two_drops_apply_in_descending_index_order(self):
         scenario = race()
+        # Dropping index 0 first would shift index 1 off the stream's
+        # end; applied highest index first, both drops land.
         combo = (FaultSpec(DROP, 0, 0), FaultSpec(DROP, 0, 1))
-        variant = apply_faults(scenario, combo)
+        variant = apply_fault_combo(scenario, combo)
         assert variant.streams[0] == []
         assert variant.streams[1] == scenario.streams[1]
         assert variant.check_truthfulness is False
